@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .linalg import Matrix
 
@@ -174,15 +175,12 @@ class WeightAssignment:
     def covers(self, X, k):
         return all((k, i) in self._weights for i in range(X.n_cells(k)))
 
-    def diagonal(self, X, k):
-        """Diagonal matrix of the k-cell weights (1x1 [1] at k = -1)."""
-        if k == -1:
-            return Matrix([[1]])
+    def cell_weights(self, X, k):
+        """The weights of the k-cells in index order ((1,) at k = -1)."""
         try:
-            entries = [self[(k, i)] for i in range(X.n_cells(k))]
+            return tuple(self[(k, i)] for i in range(X.n_cells(k)))
         except KeyError as exc:
             raise ValueError(f"missing weight for a {k}-cell") from exc
-        return Matrix.diagonal(entries)
 
     def reciprocal_for_dual(self, X):
         """Dual weighting: the dual of the i-th k-cell gets weight 1/w."""
@@ -193,15 +191,38 @@ class WeightAssignment:
         return WeightAssignment(values)
 
 
+def _weighted_gram(X, k, w):
+    """(G, q): the integer matrix G with d_k D_k d_k^T = G / q, q the lcm of the
+    k-cell weights' denominators.
+
+    Column c of d_k adds q w_c b_ic b_jc to G[i][j] for each pair (i, j) of its
+    nonzero entries, so no rational arithmetic is done.
+    """
+    if not 0 <= k <= X.dim:
+        raise ValueError(f"boundary index {k} out of range")
+    weights = w.cell_weights(X, k)
+    q = 1
+    for x in weights:
+        q = q * x.denominator // gcd(q, x.denominator)
+    b = X.boundaries[k]
+    G = [[0] * b.nrows for _ in range(b.nrows)]
+    for x, col in zip(weights, b.columns()):
+        wq = x.numerator * (q // x.denominator)
+        support = [(i, v) for i, v in enumerate(col) if v]
+        for i, vi in support:
+            Gi, vw = G[i], vi * wq
+            for j, vj in support:
+                Gi[j] += vw * vj
+    return G, q
+
+
 def weighted_laplacian(X, k, w):
     """Weighted Laplacian d_k D_k d_k^T on the (k-1)-cells (exact rational).
 
     With all weights 1 this is ``laplacian(X, k-1, "ud")``.
     """
-    if not 0 <= k <= X.dim:
-        raise ValueError(f"boundary index {k} out of range")
-    b = X.boundaries[k]
-    return b * w.diagonal(X, k) * b.transpose()
+    G, q = _weighted_gram(X, k, w)
+    return Matrix([[Fraction(x, q) if x else 0 for x in row] for row in G], ncols=len(G))
 
 
 def weighted_laplacian_similar(X, k, w):
@@ -212,14 +233,13 @@ def weighted_laplacian_similar(X, k, w):
     contractually meaningful.  k = 0 yields the 1x1 matrix [sum of vertex
     weights].
     """
-    if not 0 <= k <= X.dim:
-        raise ValueError(f"boundary index {k} out of range")
-    comb = weighted_laplacian(X, k, w)
-    if k == 0:
-        return comb
-    dk1 = w.diagonal(X, k - 1)
-    inv = Matrix.diagonal([Fraction(1) / dk1[i, i] for i in range(dk1.nrows)])
-    return inv * comb
+    G, q = _weighted_gram(X, k, w)
+    # row i is divided by the weight of the i-th (k-1)-cell (the empty face's is 1)
+    rows = [
+        [Fraction(v * x.denominator, q * x.numerator) if v else 0 for v in row]
+        for x, row in zip(w.cell_weights(X, k - 1), G)
+    ]
+    return Matrix(rows, ncols=len(G))
 
 
 def relative_boundary(X, removed_rows, k=None):

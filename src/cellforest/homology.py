@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .linalg import invariant_factors, rank
+from .linalg import invariant_factors, rank, torsion_order
 from .complexes import boundary_matrix, relative_boundary
 
 
@@ -103,8 +103,7 @@ def skeleton_or_self(X, k):
 
 def forest_torsion(X, facet_subset, k=None):
     """Torsion order t_{k-1} of the spanning subcomplex keeping these k-cells."""
-    sub = subcomplex_boundary(X, facet_subset, k)
-    return prod(f for f in invariant_factors(sub) if f > 1)
+    return torsion_order(subcomplex_boundary(X, facet_subset, k))
 
 
 def relative_homology_torsion(X, root):
@@ -114,5 +113,4 @@ def relative_homology_torsion(X, root):
     lower skeleton; the relative chain complex collapses to the submatrix of
     the top boundary on the remaining rows, whose cokernel torsion is returned.
     """
-    sub = relative_boundary(X, root)
-    return prod(f for f in invariant_factors(sub) if f > 1)
+    return torsion_order(relative_boundary(X, root))

@@ -2,7 +2,14 @@
 
 All arithmetic is arbitrary precision: matrices hold Python ``int`` or
 ``fractions.Fraction`` entries, and every algorithm below is fraction-free
-(Bareiss, integer pivoting) or exact rational.  No floating point anywhere.
+(Bareiss, integer pivoting), exact rational, or exact modular.  No floating
+point anywhere, and no probabilistic step.
+
+The characteristic polynomial is multimodular: Hessenberg reduction modulo
+primes of 62 bits, each proven prime by deterministic Miller-Rabin, with the
+integer coefficients rebuilt by the Chinese remainder theorem once the modulus
+exceeds twice a Hadamard-type bound on every coefficient.  It costs O(n^3)
+word-sized operations per prime.
 
 Conventions:
 
@@ -19,8 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-Num = "int | Fraction"
+from operator import mul
 
 
 def _canon(x):
@@ -258,7 +264,7 @@ def greedy_column_basis(M):
         for x in v:
             if isinstance(x, Fraction):
                 s = s * x.denominator // math.gcd(s, x.denominator)
-    # scale column to integers
+        # scale column to integers
         v = [int(x * s) for x in v]
         for prow, pvec in pivots:
             c = v[prow]
@@ -318,7 +324,21 @@ def det(M):
 
 
 def char_poly(M):
-    """Monic det(z*I - M) with exact coefficients (Faddeev-LeVerrier)."""
+    """Monic det(z*I - M) with exact coefficients, by Hessenberg reduction mod primes.
+
+    M is scaled by the lcm s of its denominators to an integer matrix N.  For
+    each prime p, N mod p is reduced to upper Hessenberg form by similarity
+    transforms and its characteristic polynomial is read off by the row
+    recurrence (Cohen, *A Course in Computational Algebraic Number Theory*,
+    Alg. 2.2.9).  The residues are combined by the Chinese remainder theorem
+    until the modulus exceeds 2B, where B = prod_i (1 + ||row_i(N)||_2): the
+    coefficient of z^(n-k) is +-e_k of the eigenvalues, a sum of k x k
+    principal minors, and Hadamard's inequality bounds it by
+    e_k(||row_1||, ..., ||row_n||) <= B.  Symmetric residues are then exact,
+    and the coefficient of z^j is divided by s^(n-j).  The primes are proven
+    (see ``_is_prime``), and the loop stops on the bound alone, never on
+    residues that merely stop changing.
+    """
     if not M.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = M.nrows
@@ -330,31 +350,134 @@ def char_poly(M):
             if isinstance(x, Fraction):
                 scale = scale * x.denominator // math.gcd(scale, x.denominator)
     N = [[int(x * scale) for x in row] for row in M.data]
-    ncols_range = range(n)
-    # descending coefficients of det(z*I - scale*M)
-    desc = [1]
-    B = [row[:] for row in N]
-    for k in range(1, n + 1):
-        tr = sum(B[i][i] for i in ncols_range)
-        if tr % k:
-            raise ArithmeticError("inexact trace division in char poly recursion")
-        ak = -(tr // k)
-        desc.append(ak)
-        if k < n:
-            for i in ncols_range:
-                B[i][i] += ak
-            Bcols = list(zip(*B))
-            B = [[sum(a * b for a, b in zip(row, col)) for col in Bcols] for row in N]
-    # det(z*I - M) coefficient of z^j is desc[n-j] / scale^(n-j)
-    coeffs = tuple(_canon(Fraction(desc[n - j], scale ** (n - j))) for j in range(n + 1))
-    return CharPoly(coeffs)
+    bound = 1
+    for row in N:
+        s = sum(x * x for x in row)
+        bound *= 1 + (math.isqrt(s - 1) + 1 if s else 0)  # 1 + ceil(||row||_2)
+    # ascending coefficients of det(z*I - N), modulo the product of the primes so far
+    residues = None
+    modulus = 1
+    i = 0
+    while modulus <= 2 * bound:
+        p = _prime(i)
+        r = _hessenberg_char_poly_mod(N, p)
+        if residues is None:
+            residues = r
+        else:
+            inv = pow(modulus % p, -1, p)
+            residues = [a + modulus * ((b - a) * inv % p) for a, b in zip(residues, r)]
+        modulus *= p
+        i += 1
+    half = modulus // 2
+    desc = [c - modulus if c > half else c for c in residues]
+    # the coefficient of z^j in det(z*I - M) is that of det(z*I - N) over scale^(n-j)
+    return CharPoly(tuple(_canon(Fraction(desc[j], scale ** (n - j))) for j in range(n + 1)))
+
+
+# Miller-Rabin with the first 13 prime bases has no strong pseudoprime below
+# 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 2017), so for every 62-bit
+# candidate it proves primality.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the largest primes below 2^62, in descending order, found on first use
+_PRIMES = []
+
+
+def _is_prime(n):
+    """Deterministic primality test, exact for n below 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(i):
+    """The i-th largest prime below 2^62."""
+    while len(_PRIMES) <= i:
+        c = (_PRIMES[-1] if _PRIMES else 1 << 62) - 1
+        while not _is_prime(c):
+            c -= 1
+        _PRIMES.append(c)
+    return _PRIMES[i]
+
+
+def _hessenberg_char_poly_mod(N, p):
+    """Ascending coefficients of det(z*I - N) mod the prime p.
+
+    Reduces N mod p to upper Hessenberg form H by similarity transforms (a row
+    swap with the matching column swap, then for each row i below the pivot
+    row m, row_i -= u*row_m with column_m += u*column_i), skipping a column that
+    is already zero below the subdiagonal.  Then p_0 = 1 and
+    p_m = (z - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1},
+    indices from 1, gives det(z*I - H) = p_n.
+    """
+    n = len(N)
+    H = [[x % p for x in row] for row in N]
+    for m in range(1, n - 1):
+        col = m - 1
+        piv = next((i for i in range(m, n) if H[i][col]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[m], H[piv] = H[piv], H[m]
+            for row in H:
+                row[m], row[piv] = row[piv], row[m]
+        Hm = H[m]
+        inv = pow(Hm[col], -1, p)
+        tail = Hm[col:]
+        us = [0] * (n - m - 1)
+        for i in range(m + 1, n):
+            Hi = H[i]
+            if Hi[col]:
+                u = Hi[col] * inv % p
+                us[i - m - 1] = u
+                Hi[col:] = [(a - u * b) % p for a, b in zip(Hi[col:], tail)]
+        # the column operations commute, so they are applied together
+        if any(us):
+            for row in H:
+                row[m] = (row[m] + sum(map(mul, us, row[m + 1 :]))) % p
+    polys = [[1]]
+    for m in range(1, n + 1):
+        prev = polys[-1]
+        h = H[m - 1][m - 1]
+        acc = [0] + prev
+        for j in range(m):
+            acc[j] -= h * prev[j]
+        t = 1
+        for i in range(m - 1, 0, -1):
+            t = t * H[i][i - 1] % p
+            if not t:
+                break
+            c = H[i - 1][m - 1] * t % p
+            if c:
+                acc[:i] = [a - c * b for a, b in zip(acc, polys[i - 1])]
+        polys.append([x % p for x in acc])
+    return polys[n]
 
 
 def pseudodet(M):
     """Product of the nonzero eigenvalues, from the characteristic polynomial.
 
     The sign is fixed assuming positive-semidefinite input (the Laplacian
-    case); the zero matrix yields 1 by the empty-product convention.
+    case); the zero matrix yields 1 by the empty-product convention.  Taking
+    it from the spectrum, not from a Bareiss determinant of a restriction,
+    keeps the eigenvalue routes independent of the determinant routes they
+    are checked against.
     """
     cp = char_poly(M)
     for c in cp.coeffs:

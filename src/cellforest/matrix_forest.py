@@ -179,10 +179,12 @@ def tau_reduced(X, root=None, weights=None):
     )
 
 
-def _pseudodet_value(X, k, weights):
-    """Recursive eigenvalue-product count; weights apply at the top call only."""
-    if k == 0:
-        return X.n_cells(0)
+def _pseudodet_level(X, k, weights):
+    """One level k >= 1 of the eigenvalue-product recursion.
+
+    Returns (tau_k, pseudodet of the level's Laplacian, t_{k-2}, tau_{k-1});
+    weights apply at this level only.
+    """
     _require(
         betti(X, k - 1) == 0,
         f"beta_{k-1}(X) != 0: eigenvalue-product formula needs vanishing codim-1 homology",
@@ -196,22 +198,20 @@ def _pseudodet_value(X, k, weights):
     else:
         lam = pseudodet(weighted_laplacian(X, k, weights))
     t_x = torsion(X, k - 2)
-    below = _pseudodet_value(X, k - 1, None)
-    return _exactify(Fraction(t_x * t_x, 1) * lam / below)
+    below = X.n_cells(0) if k == 1 else _pseudodet_level(X, k - 1, None)[0]
+    return _exactify(Fraction(t_x * t_x, 1) * lam / below), lam, t_x, below
 
 
 def tau_pseudodet(X, weights=None):
     """Forest count as pseudodeterminant of the top Laplacian over the count below."""
     d = X.dim
     _require(d >= 1, "eigenvalue-product formula needs dimension at least 1")
-    value = _pseudodet_value(X, d, weights)
-    lam = pseudodet(_top_laplacian(X, weights))
-    below = _pseudodet_value(X, d - 1, None) if d >= 1 else 1
+    value, lam, t_x, below = _pseudodet_level(X, d, weights)
     return TauReport(
         method="pseudodet",
         k=d,
         value=value,
-        corrections=((f"t{d-2}(X)", torsion(X, d - 2)), (f"tau{d-1}(X)", below)),
+        corrections=((f"t{d-2}(X)", t_x), (f"tau{d-1}(X)", below)),
         details=(("pseudodet", format_exact(lam)),),
         hypotheses=(f"beta_{d-1}(X)=0", f"beta_{d-2}(X)=0"),
     )

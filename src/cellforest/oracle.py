@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .linalg import (
     Matrix,
+    det,
     greedy_row_basis,
     invariant_factors,
     kernel_lattice_basis,
@@ -201,8 +202,6 @@ def enumerate_rooted_forests(X, cap=None):
     nd, nd1 = b.ncols, b.nrows
     total = sum(comb(nd, s) * comb(nd1, s) for s in range(min(nd, nd1) + 1))
     _check_cap(total, cap, "rooted forest enumeration")
-    from .linalg import det
-
     out = []
     for s in range(min(nd, nd1) + 1):
         for facets in combinations(range(nd), s):
@@ -216,10 +215,11 @@ def rooted_forest_torsion_sums(X, cap=None):
     """Coefficient oracle: c[j] = sum of squared relative torsions over rooted
     forests whose root keeps j codim-1 cells.
 
-    Grouped by the row set: the relative torsion depends only on the root, and
-    the number of forests compatible with a root is the number of column bases
-    of the boundary restricted to the complementary rows (counted by a
-    depth-first elimination).
+    The relative torsion of a rooted forest (S, F), with S its nonroot
+    codim-1 cells and F its facets, is |det d[S, F]|.  Grouped by the row
+    set S: a depth-first elimination over the columns of d restricted to S
+    visits every F with det d[S, F] != 0 and carries the determinant to the
+    leaf.
     """
     d = X.dim
     b = boundary_matrix(X, d)
@@ -232,38 +232,40 @@ def rooted_forest_torsion_sums(X, cap=None):
     for s in range(r + 1):
         for faces in combinations(range(nd1), s):
             keep = set(faces)
-            cols = [
-                {i: v for i, v in col.items() if i in keep} for col in cols_full
-            ]
-            rows_matrix = Matrix([[b[i, j] for j in range(b.ncols)] for i in faces], ncols=b.ncols)
-            if rank(rows_matrix) < s:
-                continue
-            tor = prod(f for f in invariant_factors(rows_matrix) if f > 1)
-            n_bases = _count_column_bases(cols, s)
-            c[nd1 - s] += tor * tor * n_bases
+            cols = [{i: v for i, v in col.items() if i in keep} for col in cols_full]
+            c[nd1 - s] += _sum_squared_minors(cols, s)
     return tuple(c)
 
 
-def _count_column_bases(cols, target):
-    """Number of independent column subsets of the given size (exact, DFS)."""
+def _sum_squared_minors(cols, target):
+    """Sum of det^2 over the column subsets of the given size, for sparse
+    columns supported on ``target`` rows (exact, DFS).
+
+    Each step eliminates the new column v against the chosen ones
+    fraction-free, v <- p*v - c*pivot_column, then divides out the gcd g of v.
+    The chosen vectors are triangular on their pivot rows, so up to sign the
+    determinant of the chosen columns is the product of the pivots times the
+    product of the g's over the product of the multipliers p.
+    """
     if target == 0:
         return 1
     n = len(cols)
 
-    from math import gcd
-
-    def rec(start, chosen, basis):
+    def rec(start, chosen, basis, num, den):
         if chosen == target:
-            return 1
-        count = 0
+            q = num // den
+            return q * q
+        total = 0
         for j in range(start, n - (target - chosen) + 1):
             v = dict(cols[j])
+            scale = 1
             for pr, pcol in basis:
                 cv = v.get(pr)
                 if not cv:
                     continue
                 pv = pcol[pr]
                 # v <- pv*v - cv*pcol, killing row pr fraction-free
+                scale *= pv
                 v = {rr: vv * pv for rr, vv in v.items()}
                 for rr, vv in pcol.items():
                     nv = v.get(rr, 0) - cv * vv
@@ -280,10 +282,10 @@ def _count_column_bases(cols, target):
                 if g > 1:
                     v = {rr: vv // g for rr, vv in v.items()}
                 pr = next(iter(v))
-                count += rec(j + 1, chosen + 1, basis + [(pr, v)])
-        return count
+                total += rec(j + 1, chosen + 1, basis + [(pr, v)], num * v[pr] * g, den * scale)
+        return total
 
-    return rec(0, 0, [])
+    return rec(0, 0, [], 1, 1)
 
 
 def count_orientations(X, facets, nonroot_faces):
@@ -394,8 +396,6 @@ def cobase_defect_enumerator(X, k, cap=None):
     On complexes whose rational homology vanishes at levels k and k-1 this
     reduces to the torsion-weighted count of maximal k-forests.
     """
-    from .homology import forest_torsion
-
     bk, ker, sat = _defect_context(X, k)
     # when the saturated image spans the whole kernel lattice (vanishing
     # rational homology at level k), every defect is 1

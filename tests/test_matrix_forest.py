@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -180,6 +181,14 @@ class TestRootedPolynomial:
                 t = relative_homology_torsion(X, root)
                 agg[len(root)] += t * t
             assert tuple(agg) == poly
+
+    def test_sums_weight_each_pair_by_its_determinant(self, moebius, annulus):
+        # on K_5^2 twelve rooted forests have |det| = 2 over a torsion-free
+        # row set; det(L + zI) = z^4 (z + 5)^6 counts them with weight 4
+        want = (0,) * 4 + tuple(comb(6, k) * 5 ** (6 - k) for k in range(7))
+        assert rooted_forest_torsion_sums(simplex_skeleton(5, 2).to_chain_complex()) == want
+        for X in (moebius, annulus):
+            assert rooted_forest_torsion_sums(X) == rooted_forest_polynomial(X).coeffs
 
     def test_degree_counts_codim1_cells(self, bipyramid):
         assert rooted_forest_polynomial(bipyramid).degree == 9
