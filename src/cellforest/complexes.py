@@ -97,7 +97,8 @@ def laplacian(X, k, kind="ud"):
 
     ``ud`` is d_{k+1} d_{k+1}^T (defined for -1 <= k < dim; k = -1 gives the
     1x1 augmentation Laplacian), ``du`` is d_k^T d_k (0 <= k <= dim), and
-    ``tot`` is their sum (0 <= k < dim).
+    ``tot`` is their sum (0 <= k < dim).  ``ud`` and ``du`` are the unit-weight
+    Grams (``_gram``) of d_{k+1} and of d_k^T, with ``int`` entries.
     """
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"unknown Laplacian kind {kind!r}")
@@ -106,15 +107,16 @@ def laplacian(X, k, kind="ud"):
         if not -1 <= k <= d - 1:
             raise ValueError(f"up-down Laplacian undefined at k={k} for a {d}-complex")
         b = X.boundaries[k + 1]
-        return b * b.transpose()
-    if kind == "du":
+    elif kind == "du":
         if not 0 <= k <= d:
             raise ValueError(f"down-up Laplacian undefined at k={k} for a {d}-complex")
-        b = X.boundaries[k]
-        return b.transpose() * b
-    if not 0 <= k <= d - 1:
-        raise ValueError(f"total Laplacian undefined at k={k} for a {d}-complex")
-    return laplacian(X, k, "ud") + laplacian(X, k, "du")
+        b = X.boundaries[k].transpose()
+    else:
+        if not 0 <= k <= d - 1:
+            raise ValueError(f"total Laplacian undefined at k={k} for a {d}-complex")
+        return laplacian(X, k, "ud") + laplacian(X, k, "du")
+    G, _ = _gram(b)
+    return Matrix(G, ncols=len(G))
 
 
 class WeightAssignment:
@@ -172,9 +174,6 @@ class WeightAssignment:
     def items(self):
         return self._weights.items()
 
-    def covers(self, X, k):
-        return all((k, i) in self._weights for i in range(X.n_cells(k)))
-
     def cell_weights(self, X, k):
         """The weights of the k-cells in index order ((1,) at k = -1)."""
         try:
@@ -191,20 +190,18 @@ class WeightAssignment:
         return WeightAssignment(values)
 
 
-def _weighted_gram(X, k, w):
-    """(G, q): the integer matrix G with d_k D_k d_k^T = G / q, q the lcm of the
-    k-cell weights' denominators.
+def _gram(b, weights=None):
+    """(G, q): the integer matrix G with b D b^T = G / q, D the diagonal of the
+    column weights (all 1 if ``weights`` is None), q their denominators' lcm.
 
-    Column c of d_k adds q w_c b_ic b_jc to G[i][j] for each pair (i, j) of its
-    nonzero entries, so no rational arithmetic is done.
+    Column c of b adds q w_c b_ic b_jc to G[i][j] for each pair (i, j) of its
+    nonzero entries, so no rational arithmetic and no dense product is done.
     """
-    if not 0 <= k <= X.dim:
-        raise ValueError(f"boundary index {k} out of range")
-    weights = w.cell_weights(X, k)
+    if weights is None:
+        weights = (1,) * b.ncols
     q = 1
     for x in weights:
         q = q * x.denominator // gcd(q, x.denominator)
-    b = X.boundaries[k]
     G = [[0] * b.nrows for _ in range(b.nrows)]
     for x, col in zip(weights, b.columns()):
         wq = x.numerator * (q // x.denominator)
@@ -221,7 +218,7 @@ def weighted_laplacian(X, k, w):
 
     With all weights 1 this is ``laplacian(X, k-1, "ud")``.
     """
-    G, q = _weighted_gram(X, k, w)
+    G, q = _gram(boundary_matrix(X, k), w.cell_weights(X, k))
     return Matrix([[Fraction(x, q) if x else 0 for x in row] for row in G], ncols=len(G))
 
 
@@ -233,7 +230,7 @@ def weighted_laplacian_similar(X, k, w):
     contractually meaningful.  k = 0 yields the 1x1 matrix [sum of vertex
     weights].
     """
-    G, q = _weighted_gram(X, k, w)
+    G, q = _gram(boundary_matrix(X, k), w.cell_weights(X, k))
     # row i is divided by the weight of the i-th (k-1)-cell (the empty face's is 1)
     rows = [
         [Fraction(v * x.denominator, q * x.numerator) if v else 0 for v in row]
@@ -307,10 +304,6 @@ class SimplicialComplex:
     @property
     def dim(self):
         return max(len(f) for f in self.facets) - 1
-
-    def has_face(self, face):
-        face = frozenset(face)
-        return any(face <= f for f in self.facets)
 
     def to_chain_complex(self):
         return compile_complex(self)

@@ -10,7 +10,6 @@ short exact sequences tying these together are checked at the level of orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, prod
 
 from .linalg import (
@@ -19,8 +18,6 @@ from .linalg import (
     det,
     invariant_factors,
     kernel_lattice_basis,
-    rank,
-    solve_matrix,
 )
 from .complexes import boundary_matrix, laplacian
 from .homology import forest_torsion, is_maximal_spanning_forest, torsion
@@ -138,12 +135,11 @@ def _primitive(vec, positive_at):
 def fundamental_vectors(X, tree):
     """Primitive fundamental bond and circuit vectors of a spanning tree.
 
-    For each facet outside the tree, the circuit vector is the unique kernel
-    vector supported on the tree plus that facet, normalized primitive and
-    positive at the extra facet.  For each tree facet, the bond vector is the
-    unique row-space vector vanishing on the rest of the tree, normalized
-    primitive and positive at that facet.  Returns (bonds, circuits) keyed by
-    facet index.
+    For each facet outside the tree, the circuit vector generates the rank-1
+    integer kernel of the columns on the tree plus that facet, positive at the
+    extra facet.  For each tree facet, the bond vector is the unique row-space
+    vector vanishing on the rest of the tree, normalized primitive and positive
+    at that facet.  Returns (bonds, circuits) keyed by facet index.
     """
     from .homology import is_spanning_tree
 
@@ -152,19 +148,14 @@ def fundamental_vectors(X, tree):
         raise ValueError("selection is not a spanning tree")
     b = boundary_matrix(X, X.dim)
     n = b.ncols
-    tree_cols = b.submatrix(range(b.nrows), tree)
     circuits = {}
     for j in (j for j in range(n) if j not in set(tree)):
-        target = Matrix.from_columns([b.column(j)], nrows=b.nrows)
-        coords = solve_matrix(tree_cols, target)
-        denom = 1
-        for i in range(len(tree)):
-            c = Fraction(coords[i, 0])
-            denom = denom * c.denominator // gcd(denom, c.denominator)
+        support = tree + (j,)
+        # the tree columns are independent and span column j: a rank-1 kernel
+        (gen,) = kernel_lattice_basis(b.submatrix(range(b.nrows), support)).columns()
         vec = [0] * n
-        for i, t in enumerate(tree):
-            vec[t] = -int(Fraction(coords[i, 0]) * denom)
-        vec[j] = denom
+        for c, x in zip(support, gen):
+            vec[c] = x
         circuits[j] = _primitive(vec, j)
     bonds = {}
     for t in tree:

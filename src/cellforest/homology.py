@@ -37,9 +37,10 @@ def homology(X, k):
         raise ValueError(f"homology index {k} out of range for a {d}-complex")
     nullity = X.n_cells(k) - rank(boundary_matrix(X, k))
     if k < d:
-        above = boundary_matrix(X, k + 1)
-        factors = tuple(f for f in invariant_factors(above) if f > 1)
-        betti = nullity - rank(above)
+        # the invariant factors are the nonzero ones, so their count is the rank
+        invariants = invariant_factors(boundary_matrix(X, k + 1))
+        factors = tuple(f for f in invariants if f > 1)
+        betti = nullity - len(invariants)
     else:
         factors = ()
         betti = nullity

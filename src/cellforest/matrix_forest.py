@@ -14,7 +14,7 @@ optionally weighted by a product of top-cell weights.  The routes:
 * ``tau_covolume``     -- determinant of the Laplacian restricted to the image
                           lattice of the top boundary, over its squared covolume.
 * ``tau_cobase``       -- fully general reduced determinant with a kernel-defect
-                          correction; no vanishing hypotheses at all.
+                          correction; no vanishing hypotheses (dd = 0 presumed).
 * ``tau_cobase_spectral`` -- fully general eigenvalue form, normalized by the
                           torsion-weighted cobase enumerator.
 * ``tau_algebraic_weighted`` / ``tau_weighted_alternating`` -- the same story
@@ -42,7 +42,6 @@ from .linalg import (
     greedy_row_basis,
     pseudodet,
     rank,
-    solve_matrix,
 )
 from .complexes import (
     boundary_matrix,
@@ -51,7 +50,9 @@ from .complexes import (
     weighted_laplacian,
     weighted_laplacian_similar,
 )
-from .homology import betti, forest_torsion, relative_homology_torsion, torsion
+from .homology import (
+    betti, forest_torsion, is_maximal_spanning_forest, relative_homology_torsion, torsion
+)
 from .oracle import cobase_defect_enumerator, cobase_kernel_defect, default_cobase
 
 
@@ -142,13 +143,11 @@ def tau_reduced(X, root=None, weights=None):
     L = _top_laplacian(X, weights)
     det_ls = det(L.submatrix(sel, sel))
     hypotheses = []
-    b_codim1 = betti(X, d - 1)
-    b_codim2 = betti(X, d - 2)
-    root_cols = boundary_matrix(X, d - 1).submatrix(range(X.n_cells(d - 2) if d >= 2 else 1), root) if d >= 1 else None
+    # the forest test runs first so that an out-of-range root always raises
     maximal_root = (
-        b_codim1 == 0
-        and b_codim2 == 0
-        and rank(root_cols) == len(root) == rank(boundary_matrix(X, d - 1))
+        is_maximal_spanning_forest(X, root, d - 1)
+        and betti(X, d - 1) == 0
+        and betti(X, d - 2) == 0
     )
     if maximal_root:
         hypotheses.append(f"beta_{d-1}(X)=0")
@@ -262,7 +261,8 @@ def tau_covolume(X, weights=None):
     image lattice of the *top* boundary (the codim-1 Laplacian maps it to
     itself; restricting to the image of the codim-1 boundary instead fails the
     cross-checks).  A rank-zero boundary returns 1 by the empty-product
-    convention.
+    convention.  No solve is needed: L B = B A for the matrix A of L|_B, so
+    B^T L B = (B^T B) A and det(L|_B) = det(B^T L B) / covol(B)^2.
     """
     d = X.dim
     _require(d >= 1, "covolume formula needs dimension at least 1")
@@ -271,9 +271,8 @@ def tau_covolume(X, weights=None):
     if basis.ncols == 0:
         return TauReport(method="covolume", k=d, value=1, details=(("rank", "0"),))
     L = _top_laplacian(X, weights)
-    action = solve_matrix(basis, L * basis)
-    det_action = det(action)
     covol2 = covolume_squared(basis)
+    det_action = _exactify(Fraction(det(basis.transpose() * L * basis)) / covol2)
     t_x = torsion(X, d - 1)
     value = _exactify(Fraction(t_x * t_x) * det_action / covol2)
     return TauReport(
@@ -290,7 +289,8 @@ def tau_cobase(X, cobase=None):
 
     tau = t_{d-2}(X)^2 det L_S / (t_{d-2}(R)^2 t'_{d-1}(S)^2) for any row basis
     S of the top boundary, with R the complementary root and t' the kernel
-    defect of S.  No vanishing hypotheses.
+    defect of S.  No vanishing hypotheses, though d_{d-1} d_d = 0 is still
+    presumed (``ValueError`` otherwise, as on some formal duals).
     """
     d = X.dim
     _require(d >= 1, "cobase determinant needs dimension at least 1")
@@ -319,7 +319,10 @@ def tau_cobase(X, cobase=None):
 
 
 def tau_cobase_spectral(X, cap=None):
-    """Fully general eigenvalue form: pseudodeterminant over the cobase enumerator."""
+    """Fully general eigenvalue form: pseudodeterminant over the cobase enumerator.
+
+    No vanishing hypotheses, though d_{d-1} d_d = 0 is presumed as in ``tau_cobase``.
+    """
     d = X.dim
     _require(d >= 1, "cobase spectral formula needs dimension at least 1")
     lam = pseudodet(laplacian(X, d - 1, "ud"))

@@ -26,7 +26,6 @@ from .linalg import (
     greedy_row_basis,
     invariant_factors,
     kernel_lattice_basis,
-    lattice_quotient_order,
     rank,
     saturation_basis,
 )
@@ -346,35 +345,44 @@ def enumerate_cobases(X, k, cap=None):
 
 
 def _defect_context(X, k):
-    """Precompute the lattices shared by every cobase at level k."""
+    """d_k, its nullity and the saturated image of d_{k+1}: shared by every
+    cobase at level k.  The image must lie in ker d_k, i.e. d_k d_{k+1} = 0,
+    which formal duals and matrix-form input never check at k = 0.
+    """
     bk = boundary_matrix(X, k)
-    ker = kernel_lattice_basis(bk)
     if k + 1 <= X.dim:
         sat = saturation_basis(boundary_matrix(X, k + 1))
     else:
         sat = Matrix.zeros(bk.ncols, 0)
-    return bk, ker, sat
+    if not (bk * sat).is_zero:
+        raise ValueError(
+            f"d_{k} d_{k + 1} != 0 at level {k} "
+            "(formal duals and matrix-form input skip the augmentation check)"
+        )
+    return bk, bk.ncols - rank(bk), sat
 
 
-def _kernel_defect(bk, ker, sat, cobase):
-    if ker.ncols == 0:
+def _kernel_defect(bk, nullity, sat, cobase):
+    """Index in ker d_k of the lattice sat + (kernel avoiding the cobase).
+
+    ker d_k is saturated, so for generators of full rank inside it the index
+    is the product of their invariant factors.
+    """
+    if nullity == 0:
         return 1
     outside = sorted(set(range(bk.ncols)) - set(cobase))
     sub = bk.submatrix(range(bk.nrows), outside)
-    ker_sub = kernel_lattice_basis(sub)
-    lifted = [[0] * ker_sub.ncols for _ in range(bk.ncols)]
-    for local, global_idx in enumerate(outside):
-        for j in range(ker_sub.ncols):
-            lifted[global_idx][j] = ker_sub[local, j]
-    gens = Matrix.from_columns(
-        [sat.column(j) for j in range(sat.ncols)]
-        + [tuple(row[j] for row in lifted) for j in range(ker_sub.ncols)],
-        nrows=bk.ncols,
-    )
-    order = lattice_quotient_order(ker, gens)
-    if order is None:
+    lifted = []
+    for col in kernel_lattice_basis(sub).columns():
+        v = [0] * bk.ncols
+        for i, x in zip(outside, col):
+            v[i] = x
+        lifted.append(v)
+    gens = Matrix.from_columns(list(sat.columns()) + lifted, nrows=bk.ncols)
+    factors = invariant_factors(gens)
+    if len(factors) < nullity:
         raise ValueError("cobase does not span: infinite defect")
-    return order
+    return prod(factors)
 
 
 def cobase_kernel_defect(X, k, cobase):
@@ -382,10 +390,11 @@ def cobase_kernel_defect(X, k, cobase):
 
     This is the torsion-style correction a cobase contributes when the
     codim-1 rational homology does not vanish; it equals 1 whenever the
-    saturated image already fills the kernel.
+    saturated image already fills the kernel.  No vanishing hypotheses, though
+    d_k d_{k+1} = 0 is presumed (``ValueError`` otherwise).
     """
-    bk, ker, sat = _defect_context(X, k)
-    return _kernel_defect(bk, ker, sat, cobase)
+    bk, nullity, sat = _defect_context(X, k)
+    return _kernel_defect(bk, nullity, sat, cobase)
 
 
 def cobase_defect_enumerator(X, k, cap=None):
@@ -394,16 +403,17 @@ def cobase_defect_enumerator(X, k, cap=None):
     Sums, over all row bases S of the (k+1)-st boundary, the squared torsion
     of the complementary root complex times the squared kernel defect of S.
     On complexes whose rational homology vanishes at levels k and k-1 this
-    reduces to the torsion-weighted count of maximal k-forests.
+    reduces to the torsion-weighted count of maximal k-forests.  It too
+    presumes d_k d_{k+1} = 0.
     """
-    bk, ker, sat = _defect_context(X, k)
+    bk, nullity, sat = _defect_context(X, k)
     # when the saturated image spans the whole kernel lattice (vanishing
     # rational homology at level k), every defect is 1
-    trivial = ker.ncols == 0 or rank(sat) == ker.ncols
+    trivial = sat.ncols == nullity
     total = 0
     for cobase in enumerate_cobases(X, k, cap):
         root = sorted(set(range(X.n_cells(k))) - set(cobase))
         t_root = forest_torsion(X, root, k)
-        defect = 1 if trivial else _kernel_defect(bk, ker, sat, cobase)
+        defect = 1 if trivial else _kernel_defect(bk, nullity, sat, cobase)
         total += t_root * t_root * defect * defect
     return total

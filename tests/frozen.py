@@ -1,4 +1,4 @@
-"""Frozen copies of library routines that a faster algorithm replaced.
+"""Frozen copies of library routines that a faster or simpler one replaced.
 
 Each function here is the replaced routine as it last stood in the library,
 kept unchanged so that differential tests can compare the new code against
@@ -7,6 +7,20 @@ it on a seeded corpus.  Do not optimise or refactor these.
 
 import math
 from fractions import Fraction
+
+from cellforest.complexes import boundary_matrix, weighted_laplacian
+from cellforest.homology import torsion
+from cellforest.linalg import (
+    Matrix,
+    column_lattice_basis,
+    covolume_squared,
+    det,
+    kernel_lattice_basis,
+    lattice_quotient_order,
+    saturation_basis,
+    solve_matrix,
+)
+from cellforest.matrix_forest import TauReport, _exactify, _require, format_exact
 
 
 def _canon(x):
@@ -49,3 +63,115 @@ def faddeev_leverrier(M):
             B = [[sum(a * b for a, b in zip(row, col)) for col in Bcols] for row in N]
     # det(z*I - M) coefficient of z^j is desc[n-j] / scale^(n-j)
     return tuple(_canon(Fraction(desc[n - j], scale ** (n - j))) for j in range(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# routes that went through the exact rational solve, and the dense Laplacian
+# ---------------------------------------------------------------------------
+
+def dense_laplacian(X, k, kind="ud"):
+    """``complexes.laplacian`` as dense products of the boundary and its transpose."""
+    if kind not in ("ud", "du", "tot"):
+        raise ValueError(f"unknown Laplacian kind {kind!r}")
+    d = X.dim
+    if kind == "ud":
+        if not -1 <= k <= d - 1:
+            raise ValueError(f"up-down Laplacian undefined at k={k} for a {d}-complex")
+        b = X.boundaries[k + 1]
+        return b * b.transpose()
+    if kind == "du":
+        if not 0 <= k <= d:
+            raise ValueError(f"down-up Laplacian undefined at k={k} for a {d}-complex")
+        b = X.boundaries[k]
+        return b.transpose() * b
+    if not 0 <= k <= d - 1:
+        raise ValueError(f"total Laplacian undefined at k={k} for a {d}-complex")
+    return dense_laplacian(X, k, "ud") + dense_laplacian(X, k, "du")
+
+
+def tau_covolume_by_solve(X, weights=None):
+    """``matrix_forest.tau_covolume`` with det(L|_B) from solving B A = L B."""
+    d = X.dim
+    _require(d >= 1, "covolume formula needs dimension at least 1")
+    b = boundary_matrix(X, d)
+    basis = column_lattice_basis(b)
+    if basis.ncols == 0:
+        return TauReport(method="covolume", k=d, value=1, details=(("rank", "0"),))
+    L = dense_laplacian(X, d - 1, "ud") if weights is None else weighted_laplacian(X, d, weights)
+    action = solve_matrix(basis, L * basis)
+    det_action = det(action)
+    covol2 = covolume_squared(basis)
+    t_x = torsion(X, d - 1)
+    value = _exactify(Fraction(t_x * t_x) * det_action / covol2)
+    return TauReport(
+        method="covolume",
+        k=d,
+        value=value,
+        corrections=((f"t{d-1}(X)", t_x), ("covol^2", covol2)),
+        details=(("det_restricted", format_exact(det_action)),),
+    )
+
+
+def defect_context_by_quotient(X, k):
+    """``oracle._defect_context`` when the defect was a lattice quotient order."""
+    bk = boundary_matrix(X, k)
+    ker = kernel_lattice_basis(bk)
+    if k + 1 <= X.dim:
+        sat = saturation_basis(boundary_matrix(X, k + 1))
+    else:
+        sat = Matrix.zeros(bk.ncols, 0)
+    return bk, ker, sat
+
+
+def kernel_defect_by_quotient(bk, ker, sat, cobase):
+    """``oracle._kernel_defect`` through ``lattice_quotient_order`` (a rational solve)."""
+    if ker.ncols == 0:
+        return 1
+    outside = sorted(set(range(bk.ncols)) - set(cobase))
+    sub = bk.submatrix(range(bk.nrows), outside)
+    ker_sub = kernel_lattice_basis(sub)
+    lifted = [[0] * ker_sub.ncols for _ in range(bk.ncols)]
+    for local, global_idx in enumerate(outside):
+        for j in range(ker_sub.ncols):
+            lifted[global_idx][j] = ker_sub[local, j]
+    gens = Matrix.from_columns(
+        [sat.column(j) for j in range(sat.ncols)]
+        + [tuple(row[j] for row in lifted) for j in range(ker_sub.ncols)],
+        nrows=bk.ncols,
+    )
+    order = lattice_quotient_order(ker, gens)
+    if order is None:
+        raise ValueError("cobase does not span: infinite defect")
+    return order
+
+
+def circuits_by_solve(X, tree):
+    """The circuit half of ``critical.fundamental_vectors``: solve, lcm, rescale."""
+    tree = tuple(sorted(tree))
+    b = boundary_matrix(X, X.dim)
+    n = b.ncols
+    tree_cols = b.submatrix(range(b.nrows), tree)
+    circuits = {}
+    for j in (j for j in range(n) if j not in set(tree)):
+        target = Matrix.from_columns([b.column(j)], nrows=b.nrows)
+        coords = solve_matrix(tree_cols, target)
+        denom = 1
+        for i in range(len(tree)):
+            c = Fraction(coords[i, 0])
+            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+        vec = [0] * n
+        for i, t in enumerate(tree):
+            vec[t] = -int(Fraction(coords[i, 0]) * denom)
+        vec[j] = denom
+        circuits[j] = _primitive(vec, j)
+    return circuits
+
+
+def _primitive(vec, positive_at):
+    g = 0
+    for x in vec:
+        g = math.gcd(g, x)
+    vec = [x // g for x in vec]
+    if vec[positive_at] < 0:
+        vec = [-x for x in vec]
+    return tuple(vec)

@@ -1,0 +1,202 @@
+"""Differential corpus: the integer-only lattice routes and the sparse Gram
+Laplacians against the frozen solve-based routines and dense products."""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from cellforest.complexes import (
+    WeightAssignment,
+    boundary_matrix,
+    dual_complex,
+    face_label,
+    from_facets,
+    laplacian,
+    skeleton,
+)
+from cellforest.critical import fundamental_vectors
+from cellforest.families import (
+    complete_colorful,
+    hypercube_complex,
+    named_complex,
+    named_simplicial,
+    simplex_skeleton,
+)
+from cellforest.homology import betti, forest_torsion
+from cellforest.linalg import greedy_row_basis
+from cellforest.matrix_forest import tau_covolume
+from cellforest.oracle import (
+    CapExceeded,
+    _defect_context,
+    _kernel_defect,
+    cobase_defect_enumerator,
+    enumerate_cobases,
+    enumerate_forests,
+)
+
+from frozen import (
+    circuits_by_solve,
+    defect_context_by_quotient,
+    dense_laplacian,
+    kernel_defect_by_quotient,
+    tau_covolume_by_solve,
+)
+
+SEED = 20261018
+NAMED = ("moebius", "annulus", "bipyramid", "rp2_six_vertex", "rp2_cell")
+
+
+def random_pure_2_complexes(rng, count):
+    """Random pure 2-complexes on 5-7 vertices with beta_1 > 0."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(5, 7)
+        triangles = list(combinations(range(1, n + 1), 3))
+        S = from_facets(n, rng.sample(triangles, rng.randint(n - 1, 2 * n)))
+        X = S.to_chain_complex()
+        if X.dim == 2 and betti(X, 1) > 0:
+            out.append(X)
+    return out
+
+
+# formal duals: d_0 d_1 != 0, so their level-0 defects are undefined
+DUALS = [dual_complex(named_complex("moebius")), dual_complex(named_complex("rp2_six_vertex"))]
+CORPUS = (
+    [named_complex(name) for name in NAMED]
+    + [
+        simplex_skeleton(5, 2).to_chain_complex(),
+        complete_colorful(2, 2, 2).to_chain_complex(),
+        hypercube_complex(3),
+    ]
+    + DUALS
+    + random_pure_2_complexes(random.Random(SEED), 8)
+)
+
+
+def random_weights(rng, X):
+    return WeightAssignment(
+        {
+            (k, i): Fraction(rng.randint(1, 9), rng.randint(1, 6))
+            for k in range(X.dim + 1)
+            for i in range(X.n_cells(k))
+        }
+    )
+
+
+def some_cobases(rng, X, k, sample=30):
+    """Every cobase at level k when there are at most 150, else a seeded sample."""
+    try:
+        cobases = enumerate_cobases(X, k, cap=2000)
+    except CapExceeded:
+        # greedy row bases of randomly permuted rows
+        b = boundary_matrix(X, k + 1)
+        found = set()
+        for _ in range(sample):
+            order = rng.sample(range(b.nrows), b.nrows)
+            rows = greedy_row_basis(b.submatrix(order, range(b.ncols)))
+            found.add(tuple(sorted(order[i] for i in rows)))
+        return sorted(found)
+    return cobases if len(cobases) <= 150 else rng.sample(cobases, sample)
+
+
+def entry_types(M):
+    return [type(x) for row in M.data for x in row]
+
+
+def test_laplacians_match_dense_products():
+    checked = 0
+    for X in CORPUS:
+        for kind, ks in (
+            ("ud", range(-1, X.dim)),
+            ("du", range(0, X.dim + 1)),
+            ("tot", range(0, X.dim)),
+        ):
+            for k in ks:
+                got, want = laplacian(X, k, kind), dense_laplacian(X, k, kind)
+                assert got == want
+                assert entry_types(got) == entry_types(want) and set(entry_types(got)) <= {int}
+                checked += 1
+    assert checked > 100
+
+
+def test_covolume_matches_solve_unweighted_and_weighted():
+    rng = random.Random(SEED)
+    for X in CORPUS:
+        for w in (None, random_weights(rng, X)):
+            got, want = tau_covolume(X, w), tau_covolume_by_solve(X, w)
+            assert got == want
+            assert type(got.value) is type(want.value)
+
+
+def test_kernel_defects_match_quotient_orders():
+    rng = random.Random(SEED)
+    defects = []
+    for X in CORPUS:
+        for k in range(X.dim):
+            try:
+                bk, nullity, sat = _defect_context(X, k)
+            except ValueError:
+                assert any(X is Y for Y in DUALS) and k == 0
+                continue
+            old = defect_context_by_quotient(X, k)
+            assert old[1].ncols == nullity
+            for cobase in some_cobases(rng, X, k):
+                got = _kernel_defect(bk, nullity, sat, cobase)
+                assert got == kernel_defect_by_quotient(*old, cobase)
+                assert type(got) is int
+                defects.append(got)
+    assert len(defects) > 500
+    # defects above 1 are rare; without one the product formula goes untested
+    assert any(d > 1 for d in defects)
+
+
+def test_defect_rank_deficit_raises_both_ways():
+    X = named_complex("moebius")
+    everything = tuple(range(X.n_cells(1)))
+    with pytest.raises(ValueError, match="infinite defect"):
+        _kernel_defect(*_defect_context(X, 1), everything)
+    with pytest.raises(ValueError, match="infinite defect"):
+        kernel_defect_by_quotient(*defect_context_by_quotient(X, 1), everything)
+
+
+def test_defect_enumerator_matches_quotient_orders():
+    for X in (named_complex("moebius"), named_complex("bipyramid")):
+        k = X.dim - 1
+        old = defect_context_by_quotient(X, k)
+        want = 0
+        for cobase in enumerate_cobases(X, k):
+            root = sorted(set(range(X.n_cells(k))) - set(cobase))
+            t = forest_torsion(X, root, k)
+            defect = kernel_defect_by_quotient(*old, cobase)
+            want += t * t * defect * defect
+        assert cobase_defect_enumerator(X, k) == want
+
+
+def test_circuits_match_solve():
+    pairs = []
+    for X in (
+        named_complex("bipyramid"),
+        simplex_skeleton(5, 2).to_chain_complex(),
+        complete_colorful(2, 2, 2).to_chain_complex(),
+        skeleton(hypercube_complex(3), 1),
+        simplex_skeleton(4, 1).to_chain_complex(),
+    ):
+        forests = enumerate_forests(X).forests
+        pairs += [(X, forests[0][0]), (X, forests[-1][0])]
+    # the six-vertex RP^2 is a spanning tree of K_6^2 with torsion 2, so the
+    # solve gives non-integral coordinates there
+    K62 = simplex_skeleton(6, 2).to_chain_complex()
+    labels = K62.labels(2)
+    rp2 = [labels.index(face_label(sorted(f))) for f in named_simplicial("rp2_six_vertex").facets]
+    assert forest_torsion(K62, rp2) == 2
+    pairs.append((K62, tuple(sorted(rp2))))
+    circuits = []
+    for X, tree in pairs:
+        got = fundamental_vectors(X, tree)[1]
+        assert got == circuits_by_solve(X, tree)
+        assert all(type(x) is int for vec in got.values() for x in vec)
+        circuits += got.values()
+    assert len(circuits) >= 40
+    assert any(abs(x) > 1 for vec in circuits for x in vec)

@@ -127,6 +127,17 @@ class TestCli:
         assert code == 2
         assert "hypothesis failure" in capsys.readouterr().err
 
+    def test_cobase_on_formal_dual_names_the_condition(self, tmp_path, capsys):
+        from cellforest.complexes import dual_complex, skeleton
+
+        path = tmp_path / "dual.txt"
+        X = skeleton(dual_complex(named_complex("rp2_six_vertex")), 1)
+        path.write_text(cfio.serialize_complex(X))
+        assert main(["tau", str(path), "--method", "cobase"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: d_0 d_1 != 0 at level 0")
+        assert "augmentation check" in err
+
     def test_cap_exceeded_exit_code(self, tmp_path, capsys):
         path = tmp_path / "k62.txt"
         main(["gen", "simplex-skeleton", "6", "2", "--out", str(path)])

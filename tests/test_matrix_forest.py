@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from cellforest.complexes import WeightAssignment, from_facets, skeleton
+from cellforest.complexes import WeightAssignment, dual_complex, from_facets, skeleton
 from cellforest.families import complete_colorful, hypercube_complex, simplex_skeleton
 from cellforest.homology import relative_homology_torsion
 from cellforest.matrix_forest import (
@@ -68,6 +68,11 @@ class TestReduced:
     def test_invalid_root_rejected(self, moebius):
         with pytest.raises(HypothesisError):
             tau_reduced(moebius, root=tuple(range(5)))
+
+    def test_out_of_range_root_rejected(self, bipyramid, moebius):
+        for X in (bipyramid, moebius):
+            with pytest.raises(ValueError, match="facet index out of range"):
+                tau_reduced(X, root=(0, X.n_cells(1)))
 
 
 class TestPseudodet:
@@ -137,6 +142,14 @@ class TestCobase:
     def test_invalid_cobase_rejected(self, k3):
         with pytest.raises(HypothesisError):
             tau_cobase(k3, cobase=(0, 1, 2))
+
+    def test_formal_dual_without_chain_condition_rejected(self, rp2_six):
+        # the dual's augmentation does not annihilate its d_1
+        X = skeleton(dual_complex(rp2_six), 1)
+        assert not (X.boundaries[0] * X.boundaries[1]).is_zero
+        for route in (tau_cobase, tau_cobase_spectral):
+            with pytest.raises(ValueError, match=r"d_0 d_1 != 0 at level 0"):
+                route(X)
 
 
 class TestAlgebraicWeighted:
