@@ -30,12 +30,17 @@ class HomologySummary:
         return body or "0"
 
 
-def homology(X, k):
-    """Reduced homology summary at dimension k (torsion via Smith form)."""
+def _nullity(X, k):
     d = X.dim
     if not 0 <= k <= d:
         raise ValueError(f"homology index {k} out of range for a {d}-complex")
-    nullity = X.n_cells(k) - rank(boundary_matrix(X, k))
+    return X.n_cells(k) - rank(boundary_matrix(X, k))
+
+
+def homology(X, k):
+    """Reduced homology summary at dimension k (torsion via Smith form)."""
+    d = X.dim
+    nullity = _nullity(X, k)
     if k < d:
         # the invariant factors are the nonzero ones, so their count is the rank
         invariants = invariant_factors(boundary_matrix(X, k + 1))
@@ -48,17 +53,21 @@ def homology(X, k):
 
 
 def betti(X, k):
-    """Reduced Betti number; negative k gives 0 for any nonempty complex."""
+    """Reduced Betti number; negative k gives 0 for any nonempty complex.
+
+    Two ranks, nullity(d_k) - rank(d_{k+1}); no Smith form.
+    """
     if k < 0:
         return 0
-    return homology(X, k).betti
+    nullity = _nullity(X, k)
+    return nullity - rank(boundary_matrix(X, k + 1)) if k < X.dim else nullity
 
 
 def torsion(X, k):
     """Order of the torsion subgroup of reduced H_k; 1 outside 0..dim-1."""
     if not 0 <= k < X.dim:
         return 1
-    return homology(X, k).torsion_order
+    return torsion_order(boundary_matrix(X, k + 1))
 
 
 def is_z_apc(X):

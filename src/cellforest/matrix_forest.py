@@ -51,7 +51,7 @@ from .complexes import (
     weighted_laplacian_similar,
 )
 from .homology import (
-    betti, forest_torsion, is_maximal_spanning_forest, relative_homology_torsion, torsion
+    betti, forest_torsion, homology, is_maximal_spanning_forest, relative_homology_torsion, torsion
 )
 from .oracle import cobase_defect_enumerator, cobase_kernel_defect, default_cobase
 
@@ -178,6 +178,15 @@ def tau_reduced(X, root=None, weights=None):
     )
 
 
+def _codim2_homology(X, k):
+    """(beta_{k-2}, t_{k-2}) from one homology pass (a rank and a Smith form),
+    where ``betti`` and ``torsion`` would take two ranks and a Smith form."""
+    if k < 2:
+        return 0, 1
+    h = homology(X, k - 2)
+    return h.betti, h.torsion_order
+
+
 def _pseudodet_level(X, k, weights):
     """One level k >= 1 of the eigenvalue-product recursion.
 
@@ -188,15 +197,15 @@ def _pseudodet_level(X, k, weights):
         betti(X, k - 1) == 0,
         f"beta_{k-1}(X) != 0: eigenvalue-product formula needs vanishing codim-1 homology",
     )
+    beta, t_x = _codim2_homology(X, k)
     _require(
-        betti(X, k - 2) == 0,
+        beta == 0,
         f"beta_{k-2}(X) != 0: eigenvalue-product formula needs vanishing codim-2 homology",
     )
     if weights is None:
         lam = pseudodet(laplacian(X, k - 1, "ud"))
     else:
         lam = pseudodet(weighted_laplacian(X, k, weights))
-    t_x = torsion(X, k - 2)
     below = X.n_cells(0) if k == 1 else _pseudodet_level(X, k - 1, None)[0]
     return _exactify(Fraction(t_x * t_x, 1) * lam / below), lam, t_x, below
 
@@ -345,8 +354,9 @@ def _algebraic_value(X, k, weights):
         betti(X, k - 1) == 0,
         f"beta_{k-1}(X) != 0: algebraic weighted formula needs vanishing codim-1 homology",
     )
+    beta, t_x = _codim2_homology(X, k)
     _require(
-        betti(X, k - 2) == 0,
+        beta == 0,
         f"beta_{k-2}(X) != 0: algebraic weighted formula needs vanishing codim-2 homology",
     )
     lam = pseudodet(weighted_laplacian_similar(X, k, weights))
@@ -354,7 +364,6 @@ def _algebraic_value(X, k, weights):
     if k >= 1:
         for i in range(X.n_cells(k - 1)):
             mono *= weights[(k - 1, i)]
-    t_x = torsion(X, k - 2)
     below = _algebraic_value(X, k - 1, weights)
     return _exactify(Fraction(t_x * t_x) * lam * mono / below)
 

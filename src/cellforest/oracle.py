@@ -5,8 +5,11 @@ independent column subsets, torsion comes from a Smith-form pass over the
 selected columns, rooted forests pair independent column sets with row sets
 carrying a nonsingular square submatrix.  These routines are the oracle that
 every determinant and eigenvalue formula is tested against, so they stay
-deliberately literal; the only concession to speed is a sparse unit-pivot
-contraction before the dense Smith residual.
+literal and visit every forest, cobase and rooted forest.  A depth-first
+search finds them, dropping a prefix once it is dependent, and brings one
+nonzero maximal minor to each leaf.  Torsion is the gcd of the maximal minors,
+so a leaf whose minor is +-1 has torsion 1 exactly; only the others pay for a
+Smith form.
 
 Enumeration order is lexicographic in cell indices throughout, so censuses
 and reports are deterministic.
@@ -17,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, gcd, prod
 
 from .linalg import (
     Matrix,
-    det,
     greedy_row_basis,
     invariant_factors,
     kernel_lattice_basis,
@@ -73,66 +74,64 @@ class ForestCensus:
 
 
 # ---------------------------------------------------------------------------
-# sparse rank + torsion of a column selection
+# depth-first search for independent column subsets
 # ---------------------------------------------------------------------------
-
-
-def _profile_columns(cols):
-    """(rank, torsion) of the integer matrix with the given sparse columns.
-
-    ``cols`` is a sequence of {row: value} dicts.  Unit pivots are contracted
-    first: clearing the pivot row from the other columns is a column
-    operation, after which the row operations that would clear the pivot
-    column touch nothing else, so the row/column pair can simply be dropped.
-    Whatever remains has no unit entries and goes through the dense Smith
-    routine.
-    """
-    work = [dict(c) for c in cols]
-    rk = 0
-    while True:
-        pivot = None
-        for ci, col in enumerate(work):
-            for r, v in col.items():
-                if v == 1 or v == -1:
-                    pivot = (ci, r, v)
-                    break
-            if pivot:
-                break
-        if not pivot:
-            break
-        ci, r, v = pivot
-        pcol = work.pop(ci)
-        for col in work:
-            c = col.get(r)
-            if c is not None:
-                q = c * v  # c // v for v = +-1
-                for rr, vv in pcol.items():
-                    if rr == r:
-                        continue
-                    nv = col.get(rr, 0) - q * vv
-                    if nv:
-                        col[rr] = nv
-                    else:
-                        col.pop(rr, None)
-                del col[r]
-        rk += 1
-    work = [c for c in work if c]
-    if not work:
-        return rk, 1
-    rows = sorted({r for col in work for r in col})
-    rindex = {r: i for i, r in enumerate(rows)}
-    dense = [[0] * len(work) for _ in rows]
-    for j, col in enumerate(work):
-        for r, v in col.items():
-            dense[rindex[r]][j] = v
-    factors = invariant_factors(Matrix(dense, ncols=len(work)))
-    return rk + len(factors), prod(f for f in factors if f > 1)
 
 
 def _sparse_columns(b):
     return tuple(
         {i: b[i, j] for i in range(b.nrows) if b[i, j]} for j in range(b.ncols)
     )
+
+
+def _independent_subsets(cols, size):
+    """Independent ``size``-subsets of sparse {row: value} integer columns, in
+    lexicographic order, each as (subset, |det|) for one nonzero maximal minor.
+
+    A node carries every later column reduced fraction-free against the pivots
+    of its prefix, v <- p*v - c*pivot_column, and divided by its content g:
+    v = (a/g)*column + (pivot columns), a the product of the p's.  A column
+    reduced to zero drops out with all its extensions.  The chosen columns are
+    triangular on their pivot rows P, so det of the subset on P is the product
+    of pivot*g/a; unit pivots come first, to keep that minor at 1.
+    """
+
+    def rec(prefix, cands, num, den):
+        need = size - len(prefix)
+        for pos, (j, v, a, g) in enumerate(cands):
+            if len(cands) - pos < need:
+                return
+            for pr, pv in v.items():
+                if pv == 1 or pv == -1:
+                    break
+            if need == 1:
+                yield prefix + (j,), abs(num * pv * g // (den * a))
+                continue
+            rest = []
+            for j2, w, a2, g2 in cands[pos + 1 :]:
+                c = w.get(pr)
+                if c:
+                    # w <- pv*w - c*v kills row pr fraction-free
+                    a2 *= pv
+                    w = {r: x * pv for r, x in w.items()}
+                    for r, x in v.items():
+                        nx = w.get(r, 0) - c * x
+                        if nx:
+                            w[r] = nx
+                        else:
+                            del w[r]
+                    if not w:
+                        continue
+                    h = gcd(*w.values())
+                    if h > 1:
+                        w = {r: x // h for r, x in w.items()}
+                        g2 *= h
+                rest.append((j2, w, a2, g2))
+            yield from rec(prefix + (j,), rest, num * pv * g, den * a)
+
+    if size == 0:
+        return iter([((), 1)])
+    return rec((), [(j, dict(c), 1, 1) for j, c in enumerate(cols) if c], 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +143,19 @@ def _sparse_columns(b):
 def enumerate_forests(X, k=None, cap=None):
     """Census of the maximal spanning k-forests of X (k defaults to dim).
 
-    Iterates the rank-size subsets of the k-cells in lexicographic order; each
-    subset gets a single elimination pass yielding both independence and the
-    torsion order of the spanning subcomplex it generates.
+    The forests are the independent rank-size subsets of the k-cells, in
+    lexicographic order, each with the torsion order of the spanning
+    subcomplex it generates (1 at once when the search's minor is +-1).
     """
     k = X.dim if k is None else k
     b = boundary_matrix(X, k)
     r = rank(b)
     _check_cap(comb(b.ncols, r), cap, f"forest census at k={k}")
-    cols = _sparse_columns(b)
-    forests = []
-    for subset in combinations(range(b.ncols), r):
-        rk, tor = _profile_columns([cols[j] for j in subset])
-        if rk == r:
-            forests.append((subset, tor))
-    return ForestCensus(k, r, tuple(forests))
+    forests = tuple(
+        (subset, 1 if minor == 1 else forest_torsion(X, subset, k))
+        for subset, minor in _independent_subsets(_sparse_columns(b), r)
+    )
+    return ForestCensus(k, r, forests)
 
 
 def tau_bruteforce(X, k=None, cap=None):
@@ -192,6 +189,19 @@ class RootedForest:
         return tuple(i for i in range(X.n_cells(X.dim - 1)) if i not in s)
 
 
+def _rooted_pairs(b, sizes):
+    """(F, S, |det b[S, F]|) over the nonsingular square submatrices of b of
+    the given sizes, lexicographic in (F, S): for each independent column set
+    F, an inner search over the rows of b[:, F]."""
+    cols, rows = _sparse_columns(b), _sparse_columns(b.transpose())
+    for s in sizes:
+        for facets, _ in _independent_subsets(cols, s):
+            keep = set(facets)
+            sub = [{c: v for c, v in row.items() if c in keep} for row in rows]
+            for faces, minor in _independent_subsets(sub, s):
+                yield facets, faces, minor
+
+
 def enumerate_rooted_forests(X, cap=None):
     """All rooted spanning forests (of every size), lexicographic in (F, S)."""
     d = X.dim
@@ -201,13 +211,10 @@ def enumerate_rooted_forests(X, cap=None):
     nd, nd1 = b.ncols, b.nrows
     total = sum(comb(nd, s) * comb(nd1, s) for s in range(min(nd, nd1) + 1))
     _check_cap(total, cap, "rooted forest enumeration")
-    out = []
-    for s in range(min(nd, nd1) + 1):
-        for facets in combinations(range(nd), s):
-            for faces in combinations(range(nd1), s):
-                if s == 0 or det(b.submatrix(faces, facets)) != 0:
-                    out.append(RootedForest(facets, faces))
-    return tuple(out)
+    return tuple(
+        RootedForest(facets, faces)
+        for facets, faces, _ in _rooted_pairs(b, range(min(nd, nd1) + 1))
+    )
 
 
 def rooted_forest_torsion_sums(X, cap=None):
@@ -215,10 +222,7 @@ def rooted_forest_torsion_sums(X, cap=None):
     forests whose root keeps j codim-1 cells.
 
     The relative torsion of a rooted forest (S, F), with S its nonroot
-    codim-1 cells and F its facets, is |det d[S, F]|.  Grouped by the row
-    set S: a depth-first elimination over the columns of d restricted to S
-    visits every F with det d[S, F] != 0 and carries the determinant to the
-    leaf.
+    codim-1 cells and F its facets, is |det d[S, F]|.
     """
     d = X.dim
     b = boundary_matrix(X, d)
@@ -226,65 +230,10 @@ def rooted_forest_torsion_sums(X, cap=None):
     r = rank(b)
     total = sum(comb(nd1, s) for s in range(r + 1))
     _check_cap(total, cap, "rooted forest torsion sums")
-    cols_full = _sparse_columns(b)
     c = [0] * (nd1 + 1)
-    for s in range(r + 1):
-        for faces in combinations(range(nd1), s):
-            keep = set(faces)
-            cols = [{i: v for i, v in col.items() if i in keep} for col in cols_full]
-            c[nd1 - s] += _sum_squared_minors(cols, s)
+    for _, faces, minor in _rooted_pairs(b, range(r + 1)):
+        c[nd1 - len(faces)] += minor * minor
     return tuple(c)
-
-
-def _sum_squared_minors(cols, target):
-    """Sum of det^2 over the column subsets of the given size, for sparse
-    columns supported on ``target`` rows (exact, DFS).
-
-    Each step eliminates the new column v against the chosen ones
-    fraction-free, v <- p*v - c*pivot_column, then divides out the gcd g of v.
-    The chosen vectors are triangular on their pivot rows, so up to sign the
-    determinant of the chosen columns is the product of the pivots times the
-    product of the g's over the product of the multipliers p.
-    """
-    if target == 0:
-        return 1
-    n = len(cols)
-
-    def rec(start, chosen, basis, num, den):
-        if chosen == target:
-            q = num // den
-            return q * q
-        total = 0
-        for j in range(start, n - (target - chosen) + 1):
-            v = dict(cols[j])
-            scale = 1
-            for pr, pcol in basis:
-                cv = v.get(pr)
-                if not cv:
-                    continue
-                pv = pcol[pr]
-                # v <- pv*v - cv*pcol, killing row pr fraction-free
-                scale *= pv
-                v = {rr: vv * pv for rr, vv in v.items()}
-                for rr, vv in pcol.items():
-                    nv = v.get(rr, 0) - cv * vv
-                    if nv:
-                        v[rr] = nv
-                    else:
-                        v.pop(rr, None)
-            if v:
-                g = 0
-                for vv in v.values():
-                    g = gcd(g, vv)
-                    if g == 1:
-                        break
-                if g > 1:
-                    v = {rr: vv // g for rr, vv in v.items()}
-                pr = next(iter(v))
-                total += rec(j + 1, chosen + 1, basis + [(pr, v)], num * v[pr] * g, den * scale)
-        return total
-
-    return rec(0, 0, [], 1, 1)
 
 
 def count_orientations(X, facets, nonroot_faces):
@@ -336,12 +285,7 @@ def enumerate_cobases(X, k, cap=None):
     b = boundary_matrix(X, k + 1)
     r = rank(b)
     _check_cap(comb(b.nrows, r), cap, f"cobase enumeration at k={k}")
-    bt = b.transpose()
-    out = []
-    for rows in combinations(range(b.nrows), r):
-        if rank(bt.submatrix(range(bt.nrows), rows)) == r:
-            out.append(rows)
-    return tuple(out)
+    return tuple(rows for rows, _ in _independent_subsets(_sparse_columns(b.transpose()), r))
 
 
 def _defect_context(X, k):

@@ -7,6 +7,7 @@ it on a seeded corpus.  Do not optimise or refactor these.
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from cellforest.complexes import boundary_matrix, weighted_laplacian
 from cellforest.homology import torsion
@@ -15,12 +16,15 @@ from cellforest.linalg import (
     column_lattice_basis,
     covolume_squared,
     det,
+    invariant_factors,
     kernel_lattice_basis,
     lattice_quotient_order,
+    rank,
     saturation_basis,
     solve_matrix,
 )
 from cellforest.matrix_forest import TauReport, _exactify, _require, format_exact
+from cellforest.oracle import ForestCensus, RootedForest, _check_cap, _sparse_columns
 
 
 def _canon(x):
@@ -175,3 +179,160 @@ def _primitive(vec, positive_at):
     if vec[positive_at] < 0:
         vec = [-x for x in vec]
     return tuple(vec)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's enumerators before the depth-first search: every subset of the
+# right size, tested from scratch
+# ---------------------------------------------------------------------------
+
+def profile_columns(cols):
+    """``oracle._profile_columns``: (rank, torsion) of sparse integer columns."""
+    work = [dict(c) for c in cols]
+    rk = 0
+    while True:
+        pivot = None
+        for ci, col in enumerate(work):
+            for r, v in col.items():
+                if v == 1 or v == -1:
+                    pivot = (ci, r, v)
+                    break
+            if pivot:
+                break
+        if not pivot:
+            break
+        ci, r, v = pivot
+        pcol = work.pop(ci)
+        for col in work:
+            c = col.get(r)
+            if c is not None:
+                q = c * v  # c // v for v = +-1
+                for rr, vv in pcol.items():
+                    if rr == r:
+                        continue
+                    nv = col.get(rr, 0) - q * vv
+                    if nv:
+                        col[rr] = nv
+                    else:
+                        col.pop(rr, None)
+                del col[r]
+        rk += 1
+    work = [c for c in work if c]
+    if not work:
+        return rk, 1
+    rows = sorted({r for col in work for r in col})
+    rindex = {r: i for i, r in enumerate(rows)}
+    dense = [[0] * len(work) for _ in rows]
+    for j, col in enumerate(work):
+        for r, v in col.items():
+            dense[rindex[r]][j] = v
+    factors = invariant_factors(Matrix(dense, ncols=len(work)))
+    return rk + len(factors), math.prod(f for f in factors if f > 1)
+
+
+def forests_by_combinations(X, k=None, cap=None):
+    """``oracle.enumerate_forests``: one elimination pass per rank-size subset."""
+    k = X.dim if k is None else k
+    b = boundary_matrix(X, k)
+    r = rank(b)
+    _check_cap(math.comb(b.ncols, r), cap, f"forest census at k={k}")
+    cols = _sparse_columns(b)
+    forests = []
+    for subset in combinations(range(b.ncols), r):
+        rk, tor = profile_columns([cols[j] for j in subset])
+        if rk == r:
+            forests.append((subset, tor))
+    return ForestCensus(k, r, tuple(forests))
+
+
+def rooted_forests_by_combinations(X, cap=None):
+    """``oracle.enumerate_rooted_forests``: one determinant per (facets, faces) pair."""
+    d = X.dim
+    if d < 1:
+        raise ValueError("rooted forests need dimension at least 1")
+    b = boundary_matrix(X, d)
+    nd, nd1 = b.ncols, b.nrows
+    total = sum(math.comb(nd, s) * math.comb(nd1, s) for s in range(min(nd, nd1) + 1))
+    _check_cap(total, cap, "rooted forest enumeration")
+    out = []
+    for s in range(min(nd, nd1) + 1):
+        for facets in combinations(range(nd), s):
+            for faces in combinations(range(nd1), s):
+                if s == 0 or det(b.submatrix(faces, facets)) != 0:
+                    out.append(RootedForest(facets, faces))
+    return tuple(out)
+
+
+def rooted_sums_by_row_sets(X, cap=None):
+    """``oracle.rooted_forest_torsion_sums``: one column search per row set."""
+    d = X.dim
+    b = boundary_matrix(X, d)
+    nd1 = b.nrows
+    r = rank(b)
+    total = sum(math.comb(nd1, s) for s in range(r + 1))
+    _check_cap(total, cap, "rooted forest torsion sums")
+    cols_full = _sparse_columns(b)
+    c = [0] * (nd1 + 1)
+    for s in range(r + 1):
+        for faces in combinations(range(nd1), s):
+            keep = set(faces)
+            cols = [{i: v for i, v in col.items() if i in keep} for col in cols_full]
+            c[nd1 - s] += sum_squared_minors(cols, s)
+    return tuple(c)
+
+
+def sum_squared_minors(cols, target):
+    """``oracle._sum_squared_minors``: sum of det^2 over the column subsets of
+    the given size, for sparse columns supported on ``target`` rows."""
+    if target == 0:
+        return 1
+    n = len(cols)
+
+    def rec(start, chosen, basis, num, den):
+        if chosen == target:
+            q = num // den
+            return q * q
+        total = 0
+        for j in range(start, n - (target - chosen) + 1):
+            v = dict(cols[j])
+            scale = 1
+            for pr, pcol in basis:
+                cv = v.get(pr)
+                if not cv:
+                    continue
+                pv = pcol[pr]
+                # v <- pv*v - cv*pcol, killing row pr fraction-free
+                scale *= pv
+                v = {rr: vv * pv for rr, vv in v.items()}
+                for rr, vv in pcol.items():
+                    nv = v.get(rr, 0) - cv * vv
+                    if nv:
+                        v[rr] = nv
+                    else:
+                        v.pop(rr, None)
+            if v:
+                g = 0
+                for vv in v.values():
+                    g = math.gcd(g, vv)
+                    if g == 1:
+                        break
+                if g > 1:
+                    v = {rr: vv // g for rr, vv in v.items()}
+                pr = next(iter(v))
+                total += rec(j + 1, chosen + 1, basis + [(pr, v)], num * v[pr] * g, den * scale)
+        return total
+
+    return rec(0, 0, [], 1, 1)
+
+
+def cobases_by_combinations(X, k, cap=None):
+    """``oracle.enumerate_cobases``: a dense rank per row subset."""
+    b = boundary_matrix(X, k + 1)
+    r = rank(b)
+    _check_cap(math.comb(b.nrows, r), cap, f"cobase enumeration at k={k}")
+    bt = b.transpose()
+    out = []
+    for rows in combinations(range(b.nrows), r):
+        if rank(bt.submatrix(range(bt.nrows), rows)) == r:
+            out.append(rows)
+    return tuple(out)

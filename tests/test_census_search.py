@@ -1,0 +1,203 @@
+"""Differential corpus: the depth-first enumerators of the oracle against the
+frozen loops that tested every subset of the right size from scratch."""
+
+import random
+from math import comb
+
+import pytest
+
+from cellforest import io as cfio
+from cellforest.cli import main
+from cellforest.complexes import ChainComplex, dual_complex
+from cellforest.families import (
+    complete_colorful,
+    hypercube_complex,
+    named_complex,
+    named_simplicial,
+    simplex_skeleton,
+)
+from cellforest.homology import betti, homology, torsion
+from cellforest.linalg import Matrix
+from cellforest.oracle import (
+    CapExceeded,
+    _independent_subsets,
+    _sparse_columns,
+    enumerate_cobases,
+    enumerate_forests,
+    enumerate_rooted_forests,
+    rooted_forest_torsion_sums,
+)
+
+from frozen import (
+    cobases_by_combinations,
+    forests_by_combinations,
+    rooted_forests_by_combinations,
+    rooted_sums_by_row_sets,
+)
+from test_integer_routes import SEED, random_pure_2_complexes
+
+
+def unimodular(rng, n):
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return Matrix(rows)
+
+
+def conjugated_smith_complexes(rng, count):
+    """Matrix-form 2-complexes on one vertex whose top boundary is a random
+    unimodular conjugate U D V of a chosen Smith form D: loops only, so
+    dd = 0, and the top boundary has entries of every size, so its forests
+    have maximal minors beyond +-1 with and without torsion."""
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(3, 5), rng.randint(3, 6)
+        factors = [rng.choice((1, 1, 2, 3)) for _ in range(min(m, n) - 1)]
+        D = Matrix([[factors[i] if i == j and i < len(factors) else 0 for j in range(n)] for i in range(m)])
+        top = unimodular(rng, m) * D * unimodular(rng, n)
+        cells = (("v",), tuple(f"e{i}" for i in range(m)), tuple(f"f{j}" for j in range(n)))
+        out.append(ChainComplex.create(cells, (Matrix.zeros(1, m), top)))
+    return out
+
+
+# a single edge whose boundary is zero: every boundary of rank 0 at once
+RANK_ZERO = ChainComplex.create((("a", "b"), ("e",)), (Matrix([[0], [0]]),))
+CORPUS = (
+    [named_complex(name) for name in ("rp2_six_vertex", "rp2_cell", "moebius", "annulus", "bipyramid")]
+    + [
+        simplex_skeleton(5, 2).to_chain_complex(),
+        simplex_skeleton(7, 1).to_chain_complex(),
+        complete_colorful(2, 2, 2).to_chain_complex(),
+        hypercube_complex(3),
+        dual_complex(named_complex("moebius")),
+        dual_complex(named_complex("rp2_six_vertex")),
+        RANK_ZERO,
+    ]
+    + random_pure_2_complexes(random.Random(SEED), 4)
+    + conjugated_smith_complexes(random.Random(SEED), 6)
+)
+# the frozen loops run only where the subset count their cap checks stays
+# below these; beyond them they take seconds per instance
+FROZEN_CAP = {"forests": 60_000, "cobases": 3_003, "rooted": 12_000}
+# the frozen rooted sums run a column search per row set: their cost follows
+# the number of (facets, faces) pairs, not their own count of row sets
+SUMS_PAIRS = 130_000
+
+
+def frozen_or_none(frozen, *args, what):
+    try:
+        return frozen(*args, cap=FROZEN_CAP[what])
+    except CapExceeded:
+        return None
+
+
+def test_forest_census_matches_frozen_loop():
+    leaves = []
+    compared = 0
+    for X in CORPUS:
+        for k in range(X.dim + 1):
+            want = frozen_or_none(forests_by_combinations, X, k, what="forests")
+            if want is None:
+                continue
+            got = enumerate_forests(X, k)
+            assert got == want
+            assert all(type(t) is int for _, t in got.forests)
+            cols = _sparse_columns(X.boundaries[k])
+            minors = [minor for _, minor in _independent_subsets(cols, got.rank)]
+            leaves += [(minor, t) for minor, (_, t) in zip(minors, got.forests)]
+            compared += 1
+    assert compared >= 35
+    # a minor of 1 proves torsion 1; the other leaves need their Smith form,
+    # and either kind must occur or a shortcut that is always (or never)
+    # taken would pass unseen
+    assert any(minor > 1 and t == 1 for minor, t in leaves)
+    assert any(t == 2 for _, t in leaves)
+
+
+def test_cobases_match_frozen_loop():
+    compared = 0
+    for X in CORPUS:
+        for k in range(X.dim):
+            want = frozen_or_none(cobases_by_combinations, X, k, what="cobases")
+            if want is None:
+                continue
+            assert enumerate_cobases(X, k) == want
+            compared += 1
+    assert compared >= 20
+
+
+def test_rooted_forests_match_frozen_loop():
+    compared = 0
+    for X in CORPUS:
+        want = frozen_or_none(rooted_forests_by_combinations, X, what="rooted")
+        if want is None:
+            continue
+        assert enumerate_rooted_forests(X) == want
+        compared += 1
+    assert compared >= 5
+
+
+def test_rooted_sums_match_frozen_loop():
+    compared = 0
+    for X in CORPUS:
+        b = X.boundaries[X.dim]
+        if comb(b.nrows + b.ncols, b.ncols) > SUMS_PAIRS:
+            continue
+        got = rooted_forest_torsion_sums(X)
+        assert got == rooted_sums_by_row_sets(X)
+        assert all(type(c) is int for c in got)
+        compared += 1
+    assert compared >= 15
+
+
+def test_betti_and_torsion_match_homology():
+    for X in CORPUS:
+        for k in range(X.dim + 1):
+            h = homology(X, k)
+            assert (betti(X, k), torsion(X, k)) == (h.betti, h.torsion_order)
+        with pytest.raises(ValueError, match="out of range"):
+            betti(X, X.dim + 1)
+    assert any(torsion(X, 1) == 2 for X in CORPUS)
+
+
+def test_search_yields_lexicographic_independent_sets():
+    cols = [{0: 1}, {0: 2}, {1: 3}, {}, {0: 1, 1: 1}]
+    assert list(_independent_subsets(cols, 0)) == [((), 1)]
+    assert list(_independent_subsets(cols, 2)) == [
+        ((0, 2), 3), ((0, 4), 1), ((1, 2), 6), ((1, 4), 2), ((2, 4), 3),
+    ]
+    assert list(_independent_subsets(cols, 3)) == []
+
+
+def test_caps_fire_before_enumeration_with_unchanged_counts():
+    k62, rp2 = simplex_skeleton(6, 2).to_chain_complex(), named_complex("rp2_six_vertex")
+    # C(20,10) forest candidates of K_6^2; on rp2_six_vertex (15 edges, 10
+    # triangles, rank 10) C(15,10) row sets, sum_s C(10,s) C(15,s) pairs and
+    # sum_{s<=10} C(15,s) row sets
+    for call, count, what in (
+        (lambda cap: enumerate_forests(k62, 2, cap=cap), 184_756, "forest census at k=2"),
+        (lambda cap: enumerate_cobases(rp2, 1, cap=cap), 3_003, "cobase enumeration at k=1"),
+        (lambda cap: enumerate_rooted_forests(rp2, cap=cap), 3_268_760, "rooted forest enumeration"),
+        (lambda cap: rooted_forest_torsion_sums(rp2, cap=cap), 30_827, "rooted forest torsion sums"),
+    ):
+        with pytest.raises(CapExceeded) as exc:
+            call(count - 1)
+        assert str(exc.value) == f"{what} needs {count} subsets, cap is {count - 1}"
+
+
+@pytest.mark.parametrize("S", [simplex_skeleton(5, 2), named_simplicial("rp2_six_vertex")])
+def test_census_export_matches_frozen_census(S, tmp_path):
+    path, census = tmp_path / "S.txt", tmp_path / "census.txt"
+    path.write_text(cfio.serialize_complex(S))
+    assert main(["tau", str(path), "--method", "bruteforce", "--census", str(census)]) == 0
+    X = S.to_chain_complex()
+    assert census.read_text() == cfio.serialize_census(X, forests_by_combinations(X))
+
+
+def test_bruteforce_cap_of_one_exits_3(tmp_path, capsys):
+    path = tmp_path / "k52.txt"
+    assert main(["gen", "simplex-skeleton", "5", "2", "--out", str(path)]) == 0
+    assert main(["tau", str(path), "--method", "bruteforce", "--cap", "1"]) == 3
+    assert capsys.readouterr().err == "cap exceeded: forest census at k=2 needs 210 subsets, cap is 1\n"
