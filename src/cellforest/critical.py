@@ -21,7 +21,7 @@ from .linalg import (
 )
 from .complexes import boundary_matrix, laplacian
 from .homology import forest_torsion, is_maximal_spanning_forest, torsion
-from .oracle import enumerate_forests
+from .oracle import first_torsion_free_forest
 
 
 @dataclass(frozen=True)
@@ -71,22 +71,15 @@ def critical_group(X, i):
 def critical_group_reduced(X, i, forest=None):
     """The same group from the Laplacian reduced at a torsion-free maximal i-forest.
 
-    Searches the census for a torsion-free maximal i-forest when none is
-    given; returns None when no such forest exists.
+    Takes the census's first torsion-free maximal i-forest from the lazy
+    search when none is given; returns None when no such forest exists.
     """
     if not 0 <= i < X.dim:
         raise ValueError(f"critical group index {i} out of range 0..{X.dim - 1}")
     if forest is None:
-        census = enumerate_forests(X, i) if i >= 1 else None
-        if i == 0:
-            forest = (0,)
-        else:
-            for facets, t in census.forests:
-                if t == 1:
-                    forest = facets
-                    break
-            else:
-                return None
+        forest = (0,) if i == 0 else first_torsion_free_forest(X, i)
+        if forest is None:
+            return None
     else:
         forest = tuple(sorted(forest))
         if not is_maximal_spanning_forest(X, forest, i) or forest_torsion(X, forest, i) != 1:

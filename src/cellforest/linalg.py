@@ -5,6 +5,17 @@ All arithmetic is arbitrary precision: matrices hold Python ``int`` or
 (Bareiss, integer pivoting), exact rational, or exact modular.  No floating
 point anywhere, and no probabilistic step.
 
+Rank, the greedy bases and the torsion certificate share one sparse
+elimination step (``_eliminate``, as in Dumas-Saunders-Villard, J. Symbolic
+Comput. 2001): columns (or rows) are {index: value} dicts, and each surviving
+one is reduced fraction-free against a pivot, w <- pv*w - w[pr]*v, divided by
+its content, and dropped once zero.  Unit pivots come first.  The oracle's
+depth-first search branches over this step; rank and the greedy bases follow
+its leftmost path (``_greedy_path``), which also yields |det| of the basis
+on its pivot indices.  The product of the invariant factors is the gcd of the
+maximal minors, so a minor of +-1 proves them all 1, and ``invariant_factors``
+runs its dense Smith form only when that certificate fails.
+
 The characteristic polynomial is multimodular: Hessenberg reduction modulo
 primes of 62 bits, each proven prime by deterministic Miller-Rabin, with the
 integer coefficients rebuilt by the Chinese remainder theorem once the modulus
@@ -238,15 +249,92 @@ def _integer_rows(M):
     return rows, denom
 
 
-def _normalize_row(row):
-    g = 0
-    for x in row:
-        g = math.gcd(g, x)
-        if g == 1:
-            return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+# ---------------------------------------------------------------------------
+# the sparse elimination step: rank, greedy bases and the unit-minor certificate
+# ---------------------------------------------------------------------------
+
+
+def _sparse(vec):
+    """A vector as a {index: value} integer dict, scaled by its denominator lcm."""
+    w = {i: x for i, x in enumerate(vec) if x}
+    s = 1
+    for x in w.values():
+        if isinstance(x, Fraction):
+            s = s * x.denominator // math.gcd(s, x.denominator)
+    return w if s == 1 else {i: int(x * s) for i, x in w.items()}
+
+
+def _sparse_columns(M):
+    """M's columns as sparse {row: value} integer dicts.
+
+    A column holding fractions is scaled by the lcm of its denominators, which
+    keeps every rank and every lexicographic basis.
+    """
+    if not M.nrows:
+        return tuple({} for _ in range(M.ncols))
+    return tuple(map(_sparse, M.columns()))
+
+
+def _sparse_rows(M):
+    """M's rows as sparse {column: value} integer dicts, scaled like the columns."""
+    return tuple(map(_sparse, M.data))
+
+
+def _eliminate(cands, pr, v, pv):
+    """Reduce candidates (j, w, a, g) against the pivot column v, pivot pv in row pr.
+
+    Each w <- pv*w - w[pr]*v is divided by its content h, so that
+    w = (a/g)*column_j + (pivot columns) holds with a <- a*pv and g <- g*h.
+    A candidate reduced to zero depends on the pivots and is dropped.
+    """
+    rest = []
+    for cand in cands:
+        j, w, a, g = cand
+        c = w.get(pr)
+        if not c:
+            rest.append(cand)
+            continue
+        # w <- pv*w - c*v kills row pr fraction-free
+        w = {r: x * pv for r, x in w.items()}
+        for r, x in v.items():
+            nx = w.get(r, 0) - c * x
+            if nx:
+                w[r] = nx
+            else:
+                del w[r]
+        if not w:
+            continue
+        h = math.gcd(*w.values())
+        if h > 1:
+            w = {r: x // h for r, x in w.items()}
+            g *= h
+        rest.append((j, w, a * pv, g))
+    return rest
+
+
+def _greedy_path(cols):
+    """(basis, |minor|) for sparse integer columns, along the search's leftmost path.
+
+    The first surviving candidate is always the next pivot column, so
+    ``basis`` is the lexicographically first maximal independent set of
+    columns.  Its pivot is its first stored entry of value +-1, else its last
+    stored entry.  The basis is triangular on its pivot rows P, so |det| of
+    the basis on P is the product of pv*g/a over the pivots; preferring unit
+    pivots keeps that minor at 1 wherever the reductions allow.
+    """
+    cands = [(j, c, 1, 1) for j, c in enumerate(cols) if c]
+    basis = []
+    num = den = 1
+    while cands:
+        j, v, a, g = cands[0]
+        for pr, pv in v.items():
+            if pv == 1 or pv == -1:
+                break
+        basis.append(j)
+        num *= pv * g
+        den *= a
+        cands = _eliminate(cands[1:], pr, v, pv)
+    return tuple(basis), abs(num // den)
 
 
 # ---------------------------------------------------------------------------
@@ -256,32 +344,12 @@ def _normalize_row(row):
 
 def greedy_column_basis(M):
     """Lexicographically first maximal independent set of column indices."""
-    pivots = []  # (pivot_row, integer row vector of length nrows)
-    basis = []
-    for j in range(M.ncols):
-        v = [x for x in M.column(j)]
-        s = 1
-        for x in v:
-            if isinstance(x, Fraction):
-                s = s * x.denominator // math.gcd(s, x.denominator)
-        # scale column to integers
-        v = [int(x * s) for x in v]
-        for prow, pvec in pivots:
-            c = v[prow]
-            if c:
-                p = pvec[prow]
-                v = [a * p - b * c for a, b in zip(v, pvec)]
-        v = _normalize_row(v)
-        for i, x in enumerate(v):
-            if x:
-                pivots.append((i, v))
-                basis.append(j)
-                break
-    return tuple(basis)
+    return _greedy_path(_sparse_columns(M))[0]
 
 
 def greedy_row_basis(M):
-    return greedy_column_basis(M.transpose())
+    """Lexicographically first maximal independent set of row indices."""
+    return _greedy_path(_sparse_rows(M))[0]
 
 
 def rank(M):
@@ -608,9 +676,17 @@ def smith_normal_form(M):
 
 
 def invariant_factors(M):
-    """Positive invariant factors of an integer matrix (no transforms)."""
+    """Positive invariant factors of an integer matrix (no transforms).
+
+    Their product is the gcd of the maximal minors, so when the greedy path's
+    minor is 1 they are all 1 and no Smith form is run.  The path runs over
+    rows, which is cheaper than over columns on boundaries and small matrices.
+    """
     if not M.is_integral:
         raise ValueError("invariant factors require an integer matrix")
+    basis, minor = _greedy_path(_sparse_rows(M))
+    if minor == 1:
+        return (1,) * len(basis)
     A = [list(row) for row in M.data]
     factors, _, _ = _snf_core(A, M.nrows, M.ncols, want_transforms=False)
     return tuple(factors)

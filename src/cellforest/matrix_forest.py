@@ -187,34 +187,44 @@ def _codim2_homology(X, k):
     return h.betti, h.torsion_order
 
 
-def _pseudodet_level(X, k, weights):
-    """One level k >= 1 of the eigenvalue-product recursion.
+def _eigen_level(X, k, level_factor, formula):
+    """Level k of the eigenvalue-product recursion, grounded at tau_{-1} = 1:
+    tau_k = t_{k-2}^2 * level_factor(k) / tau_{k-1}.
 
-    Returns (tau_k, pseudodet of the level's Laplacian, t_{k-2}, tau_{k-1});
-    weights apply at this level only.
+    ``level_factor(k)`` is the pseudodeterminant of the level's (possibly
+    weighted) Laplacian on the (k-1)-cells, times any weight monomial; at
+    k = 0 that Laplacian is the 1x1 augmentation one.  Hypotheses are checked
+    top down, each naming ``formula``.  Returns (tau_k, level factor, t_{k-2},
+    tau_{k-1}).
     """
+    if k == -1:
+        return 1, 1, 1, 1
     _require(
         betti(X, k - 1) == 0,
-        f"beta_{k-1}(X) != 0: eigenvalue-product formula needs vanishing codim-1 homology",
+        f"beta_{k-1}(X) != 0: {formula} needs vanishing codim-1 homology",
     )
     beta, t_x = _codim2_homology(X, k)
     _require(
         beta == 0,
-        f"beta_{k-2}(X) != 0: eigenvalue-product formula needs vanishing codim-2 homology",
+        f"beta_{k-2}(X) != 0: {formula} needs vanishing codim-2 homology",
     )
-    if weights is None:
-        lam = pseudodet(laplacian(X, k - 1, "ud"))
-    else:
-        lam = pseudodet(weighted_laplacian(X, k, weights))
-    below = X.n_cells(0) if k == 1 else _pseudodet_level(X, k - 1, None)[0]
-    return _exactify(Fraction(t_x * t_x, 1) * lam / below), lam, t_x, below
+    lam = level_factor(k)
+    below = _eigen_level(X, k - 1, level_factor, formula)[0]
+    return _exactify(Fraction(t_x * t_x) * lam / below), lam, t_x, below
 
 
 def tau_pseudodet(X, weights=None):
     """Forest count as pseudodeterminant of the top Laplacian over the count below."""
     d = X.dim
     _require(d >= 1, "eigenvalue-product formula needs dimension at least 1")
-    value, lam, t_x, below = _pseudodet_level(X, d, weights)
+
+    def level_factor(k):
+        # weights apply at the top level only
+        if weights is not None and k == d:
+            return pseudodet(weighted_laplacian(X, k, weights))
+        return pseudodet(laplacian(X, k - 1, "ud"))
+
+    value, lam, t_x, below = _eigen_level(X, d, level_factor, "eigenvalue-product formula")
     return TauReport(
         method="pseudodet",
         k=d,
@@ -347,27 +357,6 @@ def tau_cobase_spectral(X, cap=None):
     )
 
 
-def _algebraic_value(X, k, weights):
-    if k == -1:
-        return 1
-    _require(
-        betti(X, k - 1) == 0,
-        f"beta_{k-1}(X) != 0: algebraic weighted formula needs vanishing codim-1 homology",
-    )
-    beta, t_x = _codim2_homology(X, k)
-    _require(
-        beta == 0,
-        f"beta_{k-2}(X) != 0: algebraic weighted formula needs vanishing codim-2 homology",
-    )
-    lam = pseudodet(weighted_laplacian_similar(X, k, weights))
-    mono = Fraction(1)
-    if k >= 1:
-        for i in range(X.n_cells(k - 1)):
-            mono *= weights[(k - 1, i)]
-    below = _algebraic_value(X, k - 1, weights)
-    return _exactify(Fraction(t_x * t_x) * lam * mono / below)
-
-
 def tau_algebraic_weighted(X, weights):
     """Weighted forest count from the algebraically weighted Laplacian spectrum.
 
@@ -376,7 +365,12 @@ def tau_algebraic_weighted(X, weights):
     """
     d = X.dim
     _require(d >= 1, "algebraic weighted formula needs dimension at least 1")
-    value = _algebraic_value(X, d, weights)
+
+    def level_factor(k):
+        mono = prod(weights[(k - 1, i)] for i in range(X.n_cells(k - 1))) if k >= 1 else 1
+        return pseudodet(weighted_laplacian_similar(X, k, weights)) * mono
+
+    value = _eigen_level(X, d, level_factor, "algebraic weighted formula")[0]
     return TauReport(
         method="algebraic-weighted",
         k=d,

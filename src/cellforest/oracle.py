@@ -6,10 +6,12 @@ selected columns, rooted forests pair independent column sets with row sets
 carrying a nonsingular square submatrix.  These routines are the oracle that
 every determinant and eigenvalue formula is tested against, so they stay
 literal and visit every forest, cobase and rooted forest.  A depth-first
-search finds them, dropping a prefix once it is dependent, and brings one
-nonzero maximal minor to each leaf.  Torsion is the gcd of the maximal minors,
-so a leaf whose minor is +-1 has torsion 1 exactly; only the others pay for a
-Smith form.
+search finds them: it branches over the sparse elimination step of
+``linalg``, drops a prefix once it is dependent, and brings one nonzero
+maximal minor to each leaf.  The +-1 certificate (torsion is the gcd of the
+maximal minors, so a unit minor proves it 1) lives in
+``linalg.invariant_factors``, so cobase roots and kernel defects skip the
+Smith form too; census leaves read it off their own minor.
 
 Enumeration order is lexicographic in cell indices throughout, so censuses
 and reports are deterministic.
@@ -20,10 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, prod
+from math import comb, prod
 
 from .linalg import (
     Matrix,
+    _eliminate,
+    _sparse_columns,
+    _sparse_rows,
     greedy_row_basis,
     invariant_factors,
     kernel_lattice_basis,
@@ -78,22 +83,16 @@ class ForestCensus:
 # ---------------------------------------------------------------------------
 
 
-def _sparse_columns(b):
-    return tuple(
-        {i: b[i, j] for i in range(b.nrows) if b[i, j]} for j in range(b.ncols)
-    )
-
-
 def _independent_subsets(cols, size):
     """Independent ``size``-subsets of sparse {row: value} integer columns, in
     lexicographic order, each as (subset, |det|) for one nonzero maximal minor.
 
-    A node carries every later column reduced fraction-free against the pivots
-    of its prefix, v <- p*v - c*pivot_column, and divided by its content g:
-    v = (a/g)*column + (pivot columns), a the product of the p's.  A column
-    reduced to zero drops out with all its extensions.  The chosen columns are
-    triangular on their pivot rows P, so det of the subset on P is the product
-    of pivot*g/a; unit pivots come first, to keep that minor at 1.
+    A node carries every later column reduced against the pivots of its
+    prefix by ``linalg._eliminate``: v = (a/g)*column + (pivot columns), a the
+    product of the pivots.  A column reduced to zero drops out with all its
+    extensions.  The chosen columns are triangular on their pivot rows P, so
+    det of the subset on P is the product of pivot*g/a; unit pivots come
+    first, to keep that minor at 1.  The leftmost path is ``linalg._greedy_path``.
     """
 
     def rec(prefix, cands, num, den):
@@ -107,31 +106,12 @@ def _independent_subsets(cols, size):
             if need == 1:
                 yield prefix + (j,), abs(num * pv * g // (den * a))
                 continue
-            rest = []
-            for j2, w, a2, g2 in cands[pos + 1 :]:
-                c = w.get(pr)
-                if c:
-                    # w <- pv*w - c*v kills row pr fraction-free
-                    a2 *= pv
-                    w = {r: x * pv for r, x in w.items()}
-                    for r, x in v.items():
-                        nx = w.get(r, 0) - c * x
-                        if nx:
-                            w[r] = nx
-                        else:
-                            del w[r]
-                    if not w:
-                        continue
-                    h = gcd(*w.values())
-                    if h > 1:
-                        w = {r: x // h for r, x in w.items()}
-                        g2 *= h
-                rest.append((j2, w, a2, g2))
+            rest = _eliminate(cands[pos + 1 :], pr, v, pv)
             yield from rec(prefix + (j,), rest, num * pv * g, den * a)
 
     if size == 0:
         return iter([((), 1)])
-    return rec((), [(j, dict(c), 1, 1) for j, c in enumerate(cols) if c], 1, 1)
+    return rec((), [(j, c, 1, 1) for j, c in enumerate(cols) if c], 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +136,22 @@ def enumerate_forests(X, k=None, cap=None):
         for subset, minor in _independent_subsets(_sparse_columns(b), r)
     )
     return ForestCensus(k, r, forests)
+
+
+def first_torsion_free_forest(X, k, cap=None):
+    """The census's first maximal spanning k-forest of torsion 1, or None.
+
+    The search runs lazily, so no census is built; it stops with
+    ``CapExceeded`` after ``cap`` forests without one.
+    """
+    cap = DEFAULT_CAP if cap is None else cap
+    b = boundary_matrix(X, k)
+    for n, (subset, minor) in enumerate(_independent_subsets(_sparse_columns(b), rank(b)), 1):
+        if minor == 1 or forest_torsion(X, subset, k) == 1:
+            return subset
+        if n == cap:
+            raise CapExceeded(f"torsion-free forest search at k={k} found none in {cap} forests")
+    return None
 
 
 def tau_bruteforce(X, k=None, cap=None):
@@ -193,7 +189,7 @@ def _rooted_pairs(b, sizes):
     """(F, S, |det b[S, F]|) over the nonsingular square submatrices of b of
     the given sizes, lexicographic in (F, S): for each independent column set
     F, an inner search over the rows of b[:, F]."""
-    cols, rows = _sparse_columns(b), _sparse_columns(b.transpose())
+    cols, rows = _sparse_columns(b), _sparse_rows(b)
     for s in sizes:
         for facets, _ in _independent_subsets(cols, s):
             keep = set(facets)
@@ -285,7 +281,7 @@ def enumerate_cobases(X, k, cap=None):
     b = boundary_matrix(X, k + 1)
     r = rank(b)
     _check_cap(comb(b.nrows, r), cap, f"cobase enumeration at k={k}")
-    return tuple(rows for rows, _ in _independent_subsets(_sparse_columns(b.transpose()), r))
+    return tuple(rows for rows, _ in _independent_subsets(_sparse_rows(b), r))
 
 
 def _defect_context(X, k):

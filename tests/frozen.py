@@ -21,10 +21,12 @@ from cellforest.linalg import (
     lattice_quotient_order,
     rank,
     saturation_basis,
+    _snf_core,
+    _sparse_columns,
     solve_matrix,
 )
 from cellforest.matrix_forest import TauReport, _exactify, _require, format_exact
-from cellforest.oracle import ForestCensus, RootedForest, _check_cap, _sparse_columns
+from cellforest.oracle import ForestCensus, RootedForest, _check_cap
 
 
 def _canon(x):
@@ -67,6 +69,56 @@ def faddeev_leverrier(M):
             B = [[sum(a * b for a, b in zip(row, col)) for col in Bcols] for row in N]
     # det(z*I - M) coefficient of z^j is desc[n-j] / scale^(n-j)
     return tuple(_canon(Fraction(desc[n - j], scale ** (n - j))) for j in range(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# the dense greedy loop and the Smith form without the unit-minor certificate
+# ---------------------------------------------------------------------------
+
+def _normalize_row(row):
+    g = 0
+    for x in row:
+        g = math.gcd(g, x)
+        if g == 1:
+            return row
+    if g > 1:
+        return [x // g for x in row]
+    return row
+
+
+def greedy_column_basis_dense(M):
+    """``linalg.greedy_column_basis``: each column reduced in turn against every pivot."""
+    pivots = []  # (pivot_row, integer row vector of length nrows)
+    basis = []
+    for j in range(M.ncols):
+        v = [x for x in M.column(j)]
+        s = 1
+        for x in v:
+            if isinstance(x, Fraction):
+                s = s * x.denominator // math.gcd(s, x.denominator)
+        # scale column to integers
+        v = [int(x * s) for x in v]
+        for prow, pvec in pivots:
+            c = v[prow]
+            if c:
+                p = pvec[prow]
+                v = [a * p - b * c for a, b in zip(v, pvec)]
+        v = _normalize_row(v)
+        for i, x in enumerate(v):
+            if x:
+                pivots.append((i, v))
+                basis.append(j)
+                break
+    return tuple(basis)
+
+
+def invariant_factors_by_smith(M):
+    """``linalg.invariant_factors``: a dense Smith form of every matrix."""
+    if not M.is_integral:
+        raise ValueError("invariant factors require an integer matrix")
+    A = [list(row) for row in M.data]
+    factors, _, _ = _snf_core(A, M.nrows, M.ncols, want_transforms=False)
+    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------

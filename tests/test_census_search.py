@@ -1,83 +1,33 @@
 """Differential corpus: the depth-first enumerators of the oracle against the
 frozen loops that tested every subset of the right size from scratch."""
 
-import random
 from math import comb
 
 import pytest
 
 from cellforest import io as cfio
 from cellforest.cli import main
-from cellforest.complexes import ChainComplex, dual_complex
-from cellforest.families import (
-    complete_colorful,
-    hypercube_complex,
-    named_complex,
-    named_simplicial,
-    simplex_skeleton,
-)
+from cellforest.families import named_complex, named_simplicial, simplex_skeleton
 from cellforest.homology import betti, homology, torsion
-from cellforest.linalg import Matrix
+from cellforest.linalg import _sparse_columns
 from cellforest.oracle import (
     CapExceeded,
     _independent_subsets,
-    _sparse_columns,
     enumerate_cobases,
     enumerate_forests,
     enumerate_rooted_forests,
     rooted_forest_torsion_sums,
 )
 
+from corpus import CORPUS
 from frozen import (
     cobases_by_combinations,
     forests_by_combinations,
     rooted_forests_by_combinations,
     rooted_sums_by_row_sets,
 )
-from test_integer_routes import SEED, random_pure_2_complexes
 
 
-def unimodular(rng, n):
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-    return Matrix(rows)
-
-
-def conjugated_smith_complexes(rng, count):
-    """Matrix-form 2-complexes on one vertex whose top boundary is a random
-    unimodular conjugate U D V of a chosen Smith form D: loops only, so
-    dd = 0, and the top boundary has entries of every size, so its forests
-    have maximal minors beyond +-1 with and without torsion."""
-    out = []
-    for _ in range(count):
-        m, n = rng.randint(3, 5), rng.randint(3, 6)
-        factors = [rng.choice((1, 1, 2, 3)) for _ in range(min(m, n) - 1)]
-        D = Matrix([[factors[i] if i == j and i < len(factors) else 0 for j in range(n)] for i in range(m)])
-        top = unimodular(rng, m) * D * unimodular(rng, n)
-        cells = (("v",), tuple(f"e{i}" for i in range(m)), tuple(f"f{j}" for j in range(n)))
-        out.append(ChainComplex.create(cells, (Matrix.zeros(1, m), top)))
-    return out
-
-
-# a single edge whose boundary is zero: every boundary of rank 0 at once
-RANK_ZERO = ChainComplex.create((("a", "b"), ("e",)), (Matrix([[0], [0]]),))
-CORPUS = (
-    [named_complex(name) for name in ("rp2_six_vertex", "rp2_cell", "moebius", "annulus", "bipyramid")]
-    + [
-        simplex_skeleton(5, 2).to_chain_complex(),
-        simplex_skeleton(7, 1).to_chain_complex(),
-        complete_colorful(2, 2, 2).to_chain_complex(),
-        hypercube_complex(3),
-        dual_complex(named_complex("moebius")),
-        dual_complex(named_complex("rp2_six_vertex")),
-        RANK_ZERO,
-    ]
-    + random_pure_2_complexes(random.Random(SEED), 4)
-    + conjugated_smith_complexes(random.Random(SEED), 6)
-)
 # the frozen loops run only where the subset count their cap checks stays
 # below these; beyond them they take seconds per instance
 FROZEN_CAP = {"forests": 60_000, "cobases": 3_003, "rooted": 12_000}

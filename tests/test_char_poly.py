@@ -9,9 +9,8 @@ from cellforest.complexes import WeightAssignment, weighted_laplacian_similar
 from cellforest.families import complete_colorful, named_complex
 from cellforest.linalg import Matrix, _is_prime, _prime, char_poly
 
+from corpus import SEED, low_rank_psd, random_integer, random_rational
 from frozen import faddeev_leverrier
-
-SEED = 20261018
 
 
 def agrees(M):
@@ -19,23 +18,6 @@ def agrees(M):
     want = faddeev_leverrier(M)
     # same values and the same exact types (int where integral, else Fraction)
     return got == want and [type(c) for c in got] == [type(c) for c in want]
-
-
-def random_integer(rng, n, lo=-9, hi=9):
-    return Matrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)], ncols=n)
-
-
-def random_rational(rng, n):
-    return Matrix(
-        [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)],
-        ncols=n,
-    )
-
-
-def low_rank_psd(rng, n):
-    r = rng.randint(0, n)
-    A = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
-    return Matrix([[sum(a * b for a, b in zip(A[i], A[j])) for j in range(n)] for i in range(n)], ncols=n)
 
 
 def test_empty_and_one_by_one():

@@ -1,5 +1,6 @@
 import pytest
 
+from cellforest.complexes import ChainComplex
 from cellforest.critical import (
     AbelianGroupStructure,
     critical_group,
@@ -10,9 +11,16 @@ from cellforest.critical import (
     fundamental_vectors,
     sequence_order_check,
 )
-from cellforest.families import simplex_skeleton
+from cellforest.families import named_complex, simplex_skeleton
 from cellforest.linalg import Matrix, lattice_quotient_order
-from cellforest.oracle import enumerate_forests, tau_bruteforce
+from cellforest.oracle import (
+    CapExceeded,
+    enumerate_forests,
+    first_torsion_free_forest,
+    tau_bruteforce,
+)
+
+from corpus import CORPUS
 
 
 class TestCriticalGroup:
@@ -32,6 +40,29 @@ class TestCriticalGroup:
                 reduced = critical_group_reduced(X, i)
                 if reduced is not None:
                     assert reduced == critical_group(X, i)
+
+    def test_reduced_needs_no_census(self):
+        # the census of K_10^3 at k=1 would need 886,163,135 subsets
+        X = simplex_skeleton(10, 3).to_chain_complex()
+        for i in (1, 2):
+            assert critical_group_reduced(X, i) == critical_group(X, i)
+
+    def test_lazy_forest_is_the_census_first_torsion_free_one(self):
+        for X in CORPUS:
+            for k in range(1, X.dim + 1):
+                first = next((f for f, t in enumerate_forests(X, k).forests if t == 1), None)
+                assert first_torsion_free_forest(X, k) == first
+        # one vertex, two loops and three 2-cells: the first forest {f0, f1}
+        # has torsion 2, the second candidate is dependent, {f1, f2} is the one
+        top = Matrix([[2, 0, 1], [0, 1, 0]])
+        X = ChainComplex.create((("v",), ("e0", "e1"), ("f0", "f1", "f2")), (Matrix.zeros(1, 2), top))
+        assert enumerate_forests(X, 2).forests == (((0, 1), 2), ((1, 2), 1))
+        assert first_torsion_free_forest(X, 2) == (1, 2)
+        # the one 2-cell of rp2_cell is attached with degree 2
+        rp2 = named_complex("rp2_cell")
+        assert first_torsion_free_forest(rp2, 2) is None
+        with pytest.raises(CapExceeded, match="found none in 1 forests"):
+            first_torsion_free_forest(rp2, 2, cap=1)
 
     def test_bipyramid_order_fifteen(self, bipyramid):
         assert critical_group(bipyramid, 1).order == 15

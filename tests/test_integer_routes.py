@@ -3,7 +3,6 @@ Laplacians against the frozen solve-based routines and dense products."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -12,7 +11,6 @@ from cellforest.complexes import (
     boundary_matrix,
     dual_complex,
     face_label,
-    from_facets,
     laplacian,
     skeleton,
 )
@@ -24,7 +22,7 @@ from cellforest.families import (
     named_simplicial,
     simplex_skeleton,
 )
-from cellforest.homology import betti, forest_torsion
+from cellforest.homology import forest_torsion
 from cellforest.linalg import greedy_row_basis
 from cellforest.matrix_forest import tau_covolume
 from cellforest.oracle import (
@@ -36,6 +34,7 @@ from cellforest.oracle import (
     enumerate_forests,
 )
 
+from corpus import SEED, random_pure_2_complexes
 from frozen import (
     circuits_by_solve,
     defect_context_by_quotient,
@@ -44,21 +43,7 @@ from frozen import (
     tau_covolume_by_solve,
 )
 
-SEED = 20261018
 NAMED = ("moebius", "annulus", "bipyramid", "rp2_six_vertex", "rp2_cell")
-
-
-def random_pure_2_complexes(rng, count):
-    """Random pure 2-complexes on 5-7 vertices with beta_1 > 0."""
-    out = []
-    while len(out) < count:
-        n = rng.randint(5, 7)
-        triangles = list(combinations(range(1, n + 1), 3))
-        S = from_facets(n, rng.sample(triangles, rng.randint(n - 1, 2 * n)))
-        X = S.to_chain_complex()
-        if X.dim == 2 and betti(X, 1) > 0:
-            out.append(X)
-    return out
 
 
 # formal duals: d_0 d_1 != 0, so their level-0 defects are undefined

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,10 @@ from cellforest.cli import main
 from cellforest.complexes import SimplicialComplex
 from cellforest.families import hypercube_complex, named_complex, named_simplicial
 from cellforest.oracle import enumerate_forests
+
+# recorded stdout, kept byte for byte: a change to any route that alters a
+# rendered value or report shows up here
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestComplexFormat:
@@ -215,6 +220,16 @@ class TestCli:
         out = tmp_path / "d.txt"
         assert main(["verify", "duality", "--out", str(out)]) == 0
         assert "RESULT: pass" in out.read_text()
+
+    def test_verify_all_matches_golden_output(self, capsys):
+        assert main(["verify", "all", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "verify_all_seed1.txt").read_text()
+
+    def test_critical_matches_golden_output(self, tmp_path, capsys):
+        path = tmp_path / "k82.txt"
+        assert main(["gen", "simplex-skeleton", "8", "2", "--out", str(path)]) == 0
+        assert main(["critical", str(path)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "critical_K8_2.txt").read_text()
 
     def test_unknown_family_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -92,6 +92,19 @@ class TestPseudodet:
         with pytest.raises(HypothesisError):
             tau_pseudodet(moebius)
 
+    def test_one_recursion_names_each_formula(self, moebius):
+        # two disjoint triangles: beta_1 = 0 but beta_0 = 1
+        pair = from_facets(6, [{1, 2, 3}, {4, 5, 6}]).to_chain_complex()
+        for X, beta, codim in ((moebius, 1, "codim-1"), (pair, 0, "codim-2")):
+            w = WeightAssignment.ones(X)
+            for route, formula in (
+                (lambda: tau_pseudodet(X), "eigenvalue-product formula"),
+                (lambda: tau_algebraic_weighted(X, w), "algebraic weighted formula"),
+            ):
+                with pytest.raises(HypothesisError) as exc:
+                    route()
+                assert str(exc.value) == f"beta_{beta}(X) != 0: {formula} needs vanishing {codim} homology"
+
 
 class TestAlternating:
     def test_rp2_six(self, rp2_six):

@@ -1,0 +1,87 @@
+"""Differential corpus: rank, greedy bases and invariant factors from the one
+sparse elimination step of ``linalg`` against the frozen dense greedy loop and
+the Smith form without the unit-minor certificate."""
+
+import random
+
+from cellforest import linalg
+from cellforest.complexes import laplacian
+from cellforest.linalg import (
+    Matrix,
+    _greedy_path,
+    _sparse_rows,
+    greedy_column_basis,
+    greedy_row_basis,
+    invariant_factors,
+    rank,
+)
+
+from corpus import CORPUS, SEED, low_rank_psd, random_integer, random_rational
+from frozen import greedy_column_basis_dense, invariant_factors_by_smith
+
+EMPTY = [Matrix([], ncols=0), Matrix([], ncols=3), Matrix.zeros(3, 0), Matrix.zeros(2, 3)]
+
+
+def complex_matrices():
+    """Every boundary, its transpose and every Laplacian of the corpus."""
+    out = []
+    for X in CORPUS:
+        for k in range(X.dim + 1):
+            out += [X.boundaries[k], X.boundaries[k].transpose()]
+        for kind, ks in (
+            ("ud", range(-1, X.dim)),
+            ("du", range(0, X.dim + 1)),
+            ("tot", range(0, X.dim)),
+        ):
+            out += [laplacian(X, k, kind) for k in ks]
+    return out
+
+
+def random_matrices():
+    rng = random.Random(SEED)
+    out = []
+    for _ in range(60):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        out += [random_integer(rng, m, ncols=n), random_rational(rng, m, ncols=n)]
+        out.append(low_rank_psd(rng, rng.randint(1, 7)))
+        # a low-rank rectangular product, with dependent columns between independent ones
+        r = rng.randint(1, min(m, n))
+        out.append(random_integer(rng, m, -3, 3, ncols=r) * random_integer(rng, r, -3, 3, ncols=n))
+    return out
+
+
+def test_ranks_and_greedy_bases_match_dense_loop():
+    matrices = complex_matrices() + random_matrices() + EMPTY
+    assert len(matrices) > 500
+    for M in matrices:
+        cols = greedy_column_basis(M)
+        assert cols == greedy_column_basis_dense(M)
+        assert greedy_row_basis(M) == greedy_column_basis_dense(M.transpose())
+        assert rank(M) == len(cols)
+        assert type(rank(M)) is int and all(type(j) is int for j in cols)
+    assert any(not M.is_integral and rank(M) > 0 for M in matrices)
+
+
+def test_invariant_factors_match_smith_form_and_take_both_branches(monkeypatch):
+    matrices = [M for M in complex_matrices() + random_matrices() + EMPTY if M.is_integral]
+    smith_runs = []
+    snf_core = linalg._snf_core
+    monkeypatch.setattr(
+        linalg, "_snf_core", lambda *args, **kw: smith_runs.append(1) or snf_core(*args, **kw)
+    )
+    branches = set()
+    for M in matrices:
+        basis, minor = _greedy_path(_sparse_rows(M))
+        before = len(smith_runs)
+        got = invariant_factors(M)
+        # the Smith form runs exactly when the certificate fails
+        assert len(smith_runs) - before == (minor != 1)
+        assert got == invariant_factors_by_smith(M)
+        assert type(got) is tuple and all(type(f) is int for f in got)
+        assert len(basis) == len(got)
+        if basis:
+            branches.add((minor == 1, all(f == 1 for f in got)))
+    # a unit minor proves every factor 1; a minor above 1 runs the Smith form,
+    # which finds factors above 1 or, as on the conjugated Smith complexes,
+    # all 1 after all
+    assert branches == {(True, True), (False, True), (False, False)}
