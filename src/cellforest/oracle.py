@@ -119,38 +119,40 @@ def _independent_subsets(cols, size):
 # ---------------------------------------------------------------------------
 
 
+def _forests(X, k, b, r):
+    """The maximal spanning k-forests of X, lazily and in lexicographic order:
+    the independent r-subsets of the k-cells (b = d_k, r its rank), each with
+    the torsion order of the spanning subcomplex it generates (1 at once when
+    the search's minor is +-1)."""
+    for subset, minor in _independent_subsets(_sparse_columns(b), r):
+        yield subset, 1 if minor == 1 else forest_torsion(X, subset, k)
+
+
 @lru_cache(maxsize=8)
 def enumerate_forests(X, k=None, cap=None):
-    """Census of the maximal spanning k-forests of X (k defaults to dim).
-
-    The forests are the independent rank-size subsets of the k-cells, in
-    lexicographic order, each with the torsion order of the spanning
-    subcomplex it generates (1 at once when the search's minor is +-1).
-    """
+    """Census of the maximal spanning k-forests of X (k defaults to dim), in
+    the order and with the torsion orders of ``_forests``."""
     k = X.dim if k is None else k
     b = boundary_matrix(X, k)
     r = rank(b)
     _check_cap(comb(b.ncols, r), cap, f"forest census at k={k}")
-    forests = tuple(
-        (subset, 1 if minor == 1 else forest_torsion(X, subset, k))
-        for subset, minor in _independent_subsets(_sparse_columns(b), r)
-    )
-    return ForestCensus(k, r, forests)
+    return ForestCensus(k, r, tuple(_forests(X, k, b, r)))
 
 
-def first_torsion_free_forest(X, k, cap=None):
+def first_torsion_free_forest(X, k):
     """The census's first maximal spanning k-forest of torsion 1, or None.
 
     The search runs lazily, so no census is built; it stops with
-    ``CapExceeded`` after ``cap`` forests without one.
+    ``CapExceeded`` after ``DEFAULT_CAP`` forests without one.
     """
-    cap = DEFAULT_CAP if cap is None else cap
     b = boundary_matrix(X, k)
-    for n, (subset, minor) in enumerate(_independent_subsets(_sparse_columns(b), rank(b)), 1):
-        if minor == 1 or forest_torsion(X, subset, k) == 1:
+    for n, (subset, torsion) in enumerate(_forests(X, k, b, rank(b)), 1):
+        if torsion == 1:
             return subset
-        if n == cap:
-            raise CapExceeded(f"torsion-free forest search at k={k} found none in {cap} forests")
+        if n == DEFAULT_CAP:
+            raise CapExceeded(
+                f"torsion-free forest search at k={k} found none in {DEFAULT_CAP} forests"
+            )
     return None
 
 

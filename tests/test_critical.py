@@ -13,6 +13,7 @@ from cellforest.critical import (
 )
 from cellforest.families import named_complex, simplex_skeleton
 from cellforest.linalg import Matrix, lattice_quotient_order
+from cellforest import oracle
 from cellforest.oracle import (
     CapExceeded,
     enumerate_forests,
@@ -47,7 +48,7 @@ class TestCriticalGroup:
         for i in (1, 2):
             assert critical_group_reduced(X, i) == critical_group(X, i)
 
-    def test_lazy_forest_is_the_census_first_torsion_free_one(self):
+    def test_lazy_forest_is_the_census_first_torsion_free_one(self, monkeypatch):
         for X in CORPUS:
             for k in range(1, X.dim + 1):
                 first = next((f for f, t in enumerate_forests(X, k).forests if t == 1), None)
@@ -61,8 +62,9 @@ class TestCriticalGroup:
         # the one 2-cell of rp2_cell is attached with degree 2
         rp2 = named_complex("rp2_cell")
         assert first_torsion_free_forest(rp2, 2) is None
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
         with pytest.raises(CapExceeded, match="found none in 1 forests"):
-            first_torsion_free_forest(rp2, 2, cap=1)
+            first_torsion_free_forest(rp2, 2)
 
     def test_bipyramid_order_fifteen(self, bipyramid):
         assert critical_group(bipyramid, 1).order == 15
