@@ -18,9 +18,10 @@ runs its dense Smith form only when that certificate fails.
 
 The characteristic polynomial is multimodular: Hessenberg reduction modulo
 primes of 62 bits, each proven prime by deterministic Miller-Rabin, with the
-integer coefficients rebuilt by the Chinese remainder theorem once the modulus
-exceeds twice a Hadamard-type bound on every coefficient.  It costs O(n^3)
-word-sized operations per prime.
+coefficients times the product R of the row denominators rebuilt by the
+Chinese remainder theorem once the modulus exceeds twice a row-wise
+Hadamard-type bound on them.  It costs O(n^3) word-sized operations per
+prime.
 
 Conventions:
 
@@ -127,7 +128,7 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def columns(self):
-        return tuple(zip(*self.data)) if self.nrows else ()
+        return tuple(zip(*self.data)) if self.nrows else ((),) * self.ncols
 
     def submatrix(self, rows, cols):
         rows = tuple(rows)
@@ -135,7 +136,7 @@ class Matrix:
         return Matrix(tuple(tuple(self.data[i][j] for j in cols) for i in rows), ncols=len(cols))
 
     def transpose(self):
-        return Matrix(tuple(zip(*self.data)), ncols=self.nrows) if self.nrows else Matrix.zeros(self.ncols, 0)
+        return Matrix(self.columns(), ncols=self.nrows)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -232,21 +233,21 @@ class SNFResult:
 
 
 def _integer_rows(M):
-    """Scale each row by its denominator lcm; returns (rows, product of scalars).
+    """Scale each row by its denominator lcm; returns (rows, per-row scalars).
 
     Row scaling preserves rank and kernel, and multiplies the determinant by
     the product of the scalars.
     """
     rows = []
-    denom = 1
+    scalars = []
     for row in M.data:
         s = 1
         for x in row:
             if isinstance(x, Fraction):
                 s = s * x.denominator // math.gcd(s, x.denominator)
         rows.append([int(x * s) for x in row])
-        denom *= s
-    return rows, denom
+        scalars.append(s)
+    return rows, scalars
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +271,6 @@ def _sparse_columns(M):
     A column holding fractions is scaled by the lcm of its denominators, which
     keeps every rank and every lexicographic basis.
     """
-    if not M.nrows:
-        return tuple({} for _ in range(M.ncols))
     return tuple(map(_sparse, M.columns()))
 
 
@@ -386,60 +385,67 @@ def det(M):
         raise ValueError("determinant of a non-square matrix")
     if M.nrows == 0:
         return 1
-    rows, denom = _integer_rows(M)
+    rows, scalars = _integer_rows(M)
     d = _bareiss_det(rows, M.nrows)
-    return _canon(Fraction(d, denom))
+    return _canon(Fraction(d, math.prod(scalars)))
 
 
 def char_poly(M):
     """Monic det(z*I - M) with exact coefficients, by Hessenberg reduction mod primes.
 
-    M is scaled by the lcm s of its denominators to an integer matrix N.  For
-    each prime p, N mod p is reduced to upper Hessenberg form by similarity
-    transforms and its characteristic polynomial is read off by the row
-    recurrence (Cohen, *A Course in Computational Algebraic Number Theory*,
-    Alg. 2.2.9).  The residues are combined by the Chinese remainder theorem
-    until the modulus exceeds 2B, where B = prod_i (1 + ||row_i(N)||_2): the
-    coefficient of z^(n-k) is +-e_k of the eigenvalues, a sum of k x k
-    principal minors, and Hadamard's inequality bounds it by
-    e_k(||row_1||, ..., ||row_n||) <= B.  Symmetric residues are then exact,
-    and the coefficient of z^j is divided by s^(n-j).  The primes are proven
-    (see ``_is_prime``), and the loop stops on the bound alone, never on
-    residues that merely stop changing.
+    Row i of M is scaled by the lcm r_i of its denominators to an integer row
+    N_i, and R = prod_i r_i.  The coefficient of z^(n-k) is +-e_k of the
+    eigenvalues, a sum of k x k principal minors, and
+    R * minor_S(M) = prod_{i not in S} r_i * minor_S(N); so R times every
+    coefficient is an integer, and Hadamard's inequality bounds it by
+    B = prod_i (r_i + ||N_i||_2).  For each prime p that does not divide R,
+    the rows N_i * r_i^-1 mod p (that is, M mod p) are reduced to upper
+    Hessenberg form by similarity transforms, the characteristic polynomial
+    is read off by the row recurrence (Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 2.2.9), and its coefficients are
+    multiplied by R mod p.  A prime dividing R is skipped.  The residues are
+    combined by the Chinese remainder theorem until the modulus exceeds 2B;
+    symmetric residues are then exactly R times the coefficients, and are
+    divided by R.  An integer matrix has every r_i = 1, so R = 1 and
+    B = prod_i (1 + ||row_i||_2).  Each row takes its own lcm, not the lcm s
+    of all denominators, because scaling M by s would put s^n in place of R
+    and multiply every row norm by s, which costs roughly n*log2(s) more bits
+    of modulus.  The primes are proven (see ``_is_prime``), and the loop
+    stops on the bound alone, never on residues that merely stop changing.
     """
     if not M.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = M.nrows
     if n == 0:
         return CharPoly((1,))
-    scale = 1
-    for row in M.data:
-        for x in row:
-            if isinstance(x, Fraction):
-                scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    N = [[int(x * scale) for x in row] for row in M.data]
+    N, scalars = _integer_rows(M)
+    R = math.prod(scalars)
     bound = 1
-    for row in N:
+    for r, row in zip(scalars, N):
         s = sum(x * x for x in row)
-        bound *= 1 + (math.isqrt(s - 1) + 1 if s else 0)  # 1 + ceil(||row||_2)
-    # ascending coefficients of det(z*I - N), modulo the product of the primes so far
+        bound *= r + (math.isqrt(s - 1) + 1 if s else 0)  # r_i + ceil(||N_i||_2)
+    # ascending coefficients of R * det(z*I - M), modulo the product of the primes so far
     residues = None
     modulus = 1
     i = 0
     while modulus <= 2 * bound:
         p = _prime(i)
-        r = _hessenberg_char_poly_mod(N, p)
+        i += 1
+        if R % p == 0:
+            continue
+        rows = []
+        for r, row in zip(scalars, N):
+            u = pow(r, -1, p)
+            rows.append(row if u == 1 else [x * u for x in row])
+        res = [c * R % p for c in _hessenberg_char_poly_mod(rows, p)]
         if residues is None:
-            residues = r
+            residues = res
         else:
             inv = pow(modulus % p, -1, p)
-            residues = [a + modulus * ((b - a) * inv % p) for a, b in zip(residues, r)]
+            residues = [a + modulus * ((b - a) * inv % p) for a, b in zip(residues, res)]
         modulus *= p
-        i += 1
     half = modulus // 2
-    desc = [c - modulus if c > half else c for c in residues]
-    # the coefficient of z^j in det(z*I - M) is that of det(z*I - N) over scale^(n-j)
-    return CharPoly(tuple(_canon(Fraction(desc[j], scale ** (n - j))) for j in range(n + 1)))
+    return CharPoly(tuple(_canon(Fraction(c - modulus if c > half else c, R)) for c in residues))
 
 
 # Miller-Rabin with the first 13 prime bases has no strong pseudoprime below

@@ -370,12 +370,12 @@ def tau_algebraic_weighted(X, weights):
         mono = prod(weights[(k - 1, i)] for i in range(X.n_cells(k - 1))) if k >= 1 else 1
         return pseudodet(weighted_laplacian_similar(X, k, weights)) * mono
 
-    value = _eigen_level(X, d, level_factor, "algebraic weighted formula")[0]
+    value, _, t_x, _ = _eigen_level(X, d, level_factor, "algebraic weighted formula")
     return TauReport(
         method="algebraic-weighted",
         k=d,
         value=value,
-        corrections=((f"t{d-2}(X)", torsion(X, d - 2)),),
+        corrections=((f"t{d-2}(X)", t_x),),
         hypotheses=(f"beta_{d-1}(X)=0", f"beta_{d-2}(X)=0"),
     )
 

@@ -4,11 +4,12 @@ Every generator takes a ``random.Random`` so that each test seeds its own
 stream; ``CORPUS`` is one fixed list of complexes built from ``SEED``.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from cellforest.complexes import ChainComplex, dual_complex, from_facets
+from cellforest.complexes import ChainComplex, WeightAssignment, dual_complex, from_facets
 from cellforest.families import (
     complete_colorful,
     hypercube_complex,
@@ -102,3 +103,25 @@ def low_rank_psd(rng, n):
     r = rng.randint(0, n)
     A = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
     return Matrix([[sum(a * b for a, b in zip(A[i], A[j])) for j in range(n)] for i in range(n)], ncols=n)
+
+
+# ---------------------------------------------------------------------------
+# weights
+# ---------------------------------------------------------------------------
+
+_SMALL = (1, 2, 3, 5, 7, 11, 13, 17, 19)
+WEIGHT_VALUES = tuple(Fraction(p, q) for p in _SMALL for q in _SMALL if math.gcd(p, q) == 1)
+
+
+def random_weights(rng, X):
+    """Seeded positive rational weights on every cell of X.
+
+    The values are a shuffle of the first cells-many entries of
+    ``WEIGHT_VALUES`` (p/q with p, q in ``_SMALL``, cycled), drawn exactly as
+    ``benchmarks/workloads.py`` draws its weights, so ``random.Random(seed)``
+    gives the benchmark's weights for that seed.
+    """
+    keys = [(k, i) for k in range(X.dim + 1) for i in range(X.n_cells(k))]
+    values = [WEIGHT_VALUES[i % len(WEIGHT_VALUES)] for i in range(len(keys))]
+    rng.shuffle(values)
+    return WeightAssignment(dict(zip(keys, values)))

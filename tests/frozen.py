@@ -12,6 +12,7 @@ from itertools import combinations
 from cellforest.complexes import boundary_matrix, weighted_laplacian
 from cellforest.homology import torsion
 from cellforest.linalg import (
+    CharPoly,
     Matrix,
     column_lattice_basis,
     covolume_squared,
@@ -21,6 +22,8 @@ from cellforest.linalg import (
     lattice_quotient_order,
     rank,
     saturation_basis,
+    _hessenberg_char_poly_mod,
+    _prime,
     _snf_core,
     _sparse_columns,
     solve_matrix,
@@ -69,6 +72,48 @@ def faddeev_leverrier(M):
             B = [[sum(a * b for a, b in zip(row, col)) for col in Bcols] for row in N]
     # det(z*I - M) coefficient of z^j is desc[n-j] / scale^(n-j)
     return tuple(_canon(Fraction(desc[n - j], scale ** (n - j))) for j in range(n + 1))
+
+
+def char_poly_common_denominator(M):
+    """``linalg.char_poly`` when it scaled M by one common denominator.
+
+    M is scaled by the lcm s of all its denominators to an integer matrix N,
+    the CRT runs up to twice B = prod_i (1 + ||row_i(N)||_2), and the
+    coefficient of z^j is divided by s^(n-j).
+    """
+    if not M.is_square:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    n = M.nrows
+    if n == 0:
+        return CharPoly((1,))
+    scale = 1
+    for row in M.data:
+        for x in row:
+            if isinstance(x, Fraction):
+                scale = scale * x.denominator // math.gcd(scale, x.denominator)
+    N = [[int(x * scale) for x in row] for row in M.data]
+    bound = 1
+    for row in N:
+        s = sum(x * x for x in row)
+        bound *= 1 + (math.isqrt(s - 1) + 1 if s else 0)  # 1 + ceil(||row||_2)
+    # ascending coefficients of det(z*I - N), modulo the product of the primes so far
+    residues = None
+    modulus = 1
+    i = 0
+    while modulus <= 2 * bound:
+        p = _prime(i)
+        r = _hessenberg_char_poly_mod(N, p)
+        if residues is None:
+            residues = r
+        else:
+            inv = pow(modulus % p, -1, p)
+            residues = [a + modulus * ((b - a) * inv % p) for a, b in zip(residues, r)]
+        modulus *= p
+        i += 1
+    half = modulus // 2
+    desc = [c - modulus if c > half else c for c in residues]
+    # the coefficient of z^j in det(z*I - M) is that of det(z*I - N) over scale^(n-j)
+    return CharPoly(tuple(_canon(Fraction(desc[j], scale ** (n - j))) for j in range(n + 1)))
 
 
 # ---------------------------------------------------------------------------

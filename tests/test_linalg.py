@@ -74,6 +74,13 @@ class TestMatrix:
         assert a * b == Matrix([[2, 1], [2, 2]])
         assert (a * b).is_integral
 
+    @pytest.mark.parametrize("m, inner, n", [(2, 0, 3), (0, 2, 3), (0, 0, 0)])
+    def test_product_with_an_empty_shape(self, m, inner, n):
+        # a factor with no rows still has ncols (empty) columns, so each product is a zero matrix
+        a = Matrix([[1] * inner for _ in range(m)], ncols=inner)
+        b = Matrix([[1] * n for _ in range(inner)], ncols=n)
+        assert a * b == Matrix.zeros(m, n)
+
     def test_submatrix(self):
         m = Matrix([[1, 2, 3], [4, 5, 6]])
         assert m.submatrix([1], [0, 2]) == Matrix([[4, 6]])
