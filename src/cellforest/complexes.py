@@ -163,23 +163,17 @@ class WeightAssignment:
         dim, idx = key
         if dim == -1:
             return Fraction(1)
-        return self._weights[(dim, idx)]
-
-    def get(self, key, default=None):
         try:
-            return self[key]
+            return self._weights[(dim, idx)]
         except KeyError:
-            return default
+            raise ValueError(f"missing weight for a {dim}-cell") from None
 
     def items(self):
         return self._weights.items()
 
     def cell_weights(self, X, k):
         """The weights of the k-cells in index order ((1,) at k = -1)."""
-        try:
-            return tuple(self[(k, i)] for i in range(X.n_cells(k)))
-        except KeyError as exc:
-            raise ValueError(f"missing weight for a {k}-cell") from exc
+        return tuple(self[(k, i)] for i in range(X.n_cells(k)))
 
     def reciprocal_for_dual(self, X):
         """Dual weighting: the dual of the i-th k-cell gets weight 1/w."""

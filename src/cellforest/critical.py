@@ -10,7 +10,8 @@ short exact sequences tying these together are checked at the level of orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .linalg import (
     Matrix,
@@ -20,7 +21,7 @@ from .linalg import (
     kernel_lattice_basis,
 )
 from .complexes import boundary_matrix, laplacian
-from .homology import forest_torsion, is_maximal_spanning_forest, torsion
+from .homology import torsion
 from .oracle import first_torsion_free_forest
 
 
@@ -68,22 +69,17 @@ def critical_group(X, i):
     return _torsion_structure(laplacian(X, i, "ud"))
 
 
-def critical_group_reduced(X, i, forest=None):
+def critical_group_reduced(X, i):
     """The same group from the Laplacian reduced at a torsion-free maximal i-forest.
 
     Takes the census's first torsion-free maximal i-forest from the lazy
-    search when none is given; returns None when no such forest exists.
+    search; returns None when no such forest exists.
     """
     if not 0 <= i < X.dim:
         raise ValueError(f"critical group index {i} out of range 0..{X.dim - 1}")
+    forest = (0,) if i == 0 else first_torsion_free_forest(X, i)
     if forest is None:
-        forest = (0,) if i == 0 else first_torsion_free_forest(X, i)
-        if forest is None:
-            return None
-    else:
-        forest = tuple(sorted(forest))
-        if not is_maximal_spanning_forest(X, forest, i) or forest_torsion(X, forest, i) != 1:
-            raise ValueError("selection is not a torsion-free maximal forest")
+        return None
     keep = [j for j in range(X.n_cells(i)) if j not in set(forest)]
     L = laplacian(X, i, "ud")
     return AbelianGroupStructure(
@@ -132,7 +128,9 @@ def fundamental_vectors(X, tree):
     integer kernel of the columns on the tree plus that facet, positive at the
     extra facet.  For each tree facet, the bond vector is the unique row-space
     vector vanishing on the rest of the tree, normalized primitive and positive
-    at that facet.  Returns (bonds, circuits) keyed by facet index.
+    at that facet; the row space is the orthogonal complement of the circuits,
+    so the bond is read off them.  Returns (bonds, circuits) keyed by facet
+    index.
     """
     from .homology import is_spanning_tree
 
@@ -152,18 +150,14 @@ def fundamental_vectors(X, tree):
         circuits[j] = _primitive(vec, j)
     bonds = {}
     for t in tree:
-        rest = [c for c in tree if c != t]
-        # row combinations y with (y^T b) vanishing on the rest of the tree
-        constraint = Matrix([[b[i, r] for i in range(b.nrows)] for r in rest], ncols=b.nrows)
-        ker = kernel_lattice_basis(constraint)
-        for jcol in range(ker.ncols):
-            y = ker.column(jcol)
-            u = [sum(y[i] * b[i, c] for i in range(b.nrows)) for c in range(n)]
-            if u[t]:
-                bonds[t] = _primitive(u, t)
-                break
-        else:
-            raise AssertionError("no fundamental bond found for a tree facet")
+        # the bond is 1 at t, 0 on the rest of the tree and orthogonal to
+        # every circuit, so at j outside the tree it is -circuit_j[t]/circuit_j[j]
+        u = [Fraction(0)] * n
+        u[t] = Fraction(1)
+        for j, c in circuits.items():
+            u[j] = Fraction(-c[t], c[j])
+        s = lcm(*(x.denominator for x in u))
+        bonds[t] = _primitive([int(x * s) for x in u], t)
     return bonds, circuits
 
 

@@ -134,7 +134,10 @@ def parse_weights(text):
         key = (int(parts[0]), int(parts[1]))
         if key in values:
             raise FormatError(f"duplicate weight for cell {key}")
-        values[key] = Fraction(parts[2])
+        try:
+            values[key] = Fraction(parts[2])
+        except ZeroDivisionError:
+            raise FormatError(f"weight has a zero denominator: {line!r}") from None
     return WeightAssignment(values)
 
 

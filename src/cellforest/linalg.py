@@ -2,19 +2,20 @@
 
 All arithmetic is arbitrary precision: matrices hold Python ``int`` or
 ``fractions.Fraction`` entries, and every algorithm below is fraction-free
-(Bareiss, integer pivoting), exact rational, or exact modular.  No floating
+(integer pivoting), exact rational, or exact modular.  No floating
 point anywhere, and no probabilistic step.
 
-Rank, the greedy bases and the torsion certificate share one sparse
+Rank, the greedy bases, ``det`` and the torsion certificate share one sparse
 elimination step (``_eliminate``, as in Dumas-Saunders-Villard, J. Symbolic
 Comput. 2001): columns (or rows) are {index: value} dicts, and each surviving
 one is reduced fraction-free against a pivot, w <- pv*w - w[pr]*v, divided by
 its content, and dropped once zero.  Unit pivots come first.  The oracle's
-depth-first search branches over this step; rank and the greedy bases follow
-its leftmost path (``_greedy_path``), which also yields |det| of the basis
-on its pivot indices.  The product of the invariant factors is the gcd of the
-maximal minors, so a minor of +-1 proves them all 1, and ``invariant_factors``
-runs its dense Smith form only when that certificate fails.
+depth-first search branches over this step; rank, the bases and ``det`` follow
+its leftmost path (``_greedy_path``), which also yields the signed det of
+the basis on its pivot indices.  The product of the invariant factors is the
+gcd of the maximal minors, so a minor of +-1 proves them all 1, and
+``invariant_factors`` runs its dense Smith form only when that certificate
+fails.
 
 The characteristic polynomial is multimodular: Hessenberg reduction modulo
 primes of 62 bits, each proven prime by deterministic Miller-Rabin, with the
@@ -251,7 +252,8 @@ def _integer_rows(M):
 
 
 # ---------------------------------------------------------------------------
-# the sparse elimination step: rank, greedy bases and the unit-minor certificate
+# the sparse elimination step: rank, greedy bases, determinants and the
+# unit-minor certificate
 # ---------------------------------------------------------------------------
 
 
@@ -312,17 +314,20 @@ def _eliminate(cands, pr, v, pv):
 
 
 def _greedy_path(cols):
-    """(basis, |minor|) for sparse integer columns, along the search's leftmost path.
+    """(basis, minor) for sparse integer columns, along the search's leftmost path.
 
     The first surviving candidate is always the next pivot column, so
     ``basis`` is the lexicographically first maximal independent set of
     columns.  Its pivot is its first stored entry of value +-1, else its last
-    stored entry.  The basis is triangular on its pivot rows P, so |det| of
-    the basis on P is the product of pv*g/a over the pivots; preferring unit
-    pivots keeps that minor at 1 wherever the reductions allow.
+    stored entry.  The basis is triangular on its pivot rows in pivot order,
+    where its det is the product of pv*g/a over the pivots; times the sign of
+    the permutation that sorts those rows, this is ``minor``, the integer det
+    of the basis on its pivot rows in ascending order.  Preferring unit
+    pivots keeps that minor at +-1 wherever the reductions allow.
     """
     cands = [(j, c, 1, 1) for j, c in enumerate(cols) if c]
     basis = []
+    rows = []
     num = den = 1
     while cands:
         j, v, a, g = cands[0]
@@ -330,10 +335,13 @@ def _greedy_path(cols):
             if pv == 1 or pv == -1:
                 break
         basis.append(j)
+        rows.append(pr)
         num *= pv * g
         den *= a
         cands = _eliminate(cands[1:], pr, v, pv)
-    return tuple(basis), abs(num // den)
+    inversions = sum(p > q for i, p in enumerate(rows) for q in rows[i + 1 :])
+    minor = num // den
+    return tuple(basis), -minor if inversions & 1 else minor
 
 
 # ---------------------------------------------------------------------------
@@ -356,38 +364,20 @@ def rank(M):
     return len(greedy_column_basis(M))
 
 
-def _bareiss_det(rows, n):
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k]:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pkk = rows[k][k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
-            ri, rk = rows[i], rows[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pkk - rik * rk[j]) // prev
-            ri[k] = 0
-        prev = pkk
-    return sign * rows[n - 1][n - 1]
-
-
 def det(M):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant on the leftmost path of the sparse elimination step.
+
+    Each row is scaled to integers by the lcm of its denominators; the path
+    over those rows takes them all exactly when the determinant is nonzero,
+    and its minor is then the determinant of the scaled matrix.
+    """
     if not M.is_square:
         raise ValueError("determinant of a non-square matrix")
-    if M.nrows == 0:
-        return 1
     rows, scalars = _integer_rows(M)
-    d = _bareiss_det(rows, M.nrows)
-    return _canon(Fraction(d, math.prod(scalars)))
+    basis, minor = _greedy_path([{j: x for j, x in enumerate(row) if x} for row in rows])
+    if len(basis) < M.nrows:
+        return 0
+    return _canon(Fraction(minor, math.prod(scalars)))
 
 
 def char_poly(M):
@@ -549,9 +539,9 @@ def pseudodet(M):
 
     The sign is fixed assuming positive-semidefinite input (the Laplacian
     case); the zero matrix yields 1 by the empty-product convention.  Taking
-    it from the spectrum, not from a Bareiss determinant of a restriction,
-    keeps the eigenvalue routes independent of the determinant routes they
-    are checked against.
+    it from the spectrum, not from ``det`` of a restriction, keeps the
+    eigenvalue routes independent of the determinant routes they are checked
+    against.
     """
     cp = char_poly(M)
     for c in cp.coeffs:
@@ -685,13 +675,13 @@ def invariant_factors(M):
     """Positive invariant factors of an integer matrix (no transforms).
 
     Their product is the gcd of the maximal minors, so when the greedy path's
-    minor is 1 they are all 1 and no Smith form is run.  The path runs over
+    minor is +-1 they are all 1 and no Smith form is run.  The path runs over
     rows, which is cheaper than over columns on boundaries and small matrices.
     """
     if not M.is_integral:
         raise ValueError("invariant factors require an integer matrix")
     basis, minor = _greedy_path(_sparse_rows(M))
-    if minor == 1:
+    if abs(minor) == 1:
         return (1,) * len(basis)
     A = [list(row) for row in M.data]
     factors, _, _ = _snf_core(A, M.nrows, M.ncols, want_transforms=False)

@@ -117,7 +117,8 @@ def char_poly_common_denominator(M):
 
 
 # ---------------------------------------------------------------------------
-# the dense greedy loop and the Smith form without the unit-minor certificate
+# the dense greedy loop, the Bareiss determinant and the Smith form without
+# the unit-minor certificate
 # ---------------------------------------------------------------------------
 
 def _normalize_row(row):
@@ -155,6 +156,49 @@ def greedy_column_basis_dense(M):
                 basis.append(j)
                 break
     return tuple(basis)
+
+
+def _bareiss_det(rows, n):
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for i in range(k + 1, n):
+                if rows[i][k]:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pkk = rows[k][k]
+        for i in range(k + 1, n):
+            rik = rows[i][k]
+            ri, rk = rows[i], rows[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pkk - rik * rk[j]) // prev
+            ri[k] = 0
+        prev = pkk
+    return sign * rows[n - 1][n - 1]
+
+
+def det_by_bareiss(M):
+    """``linalg.det``: dense fraction-free (Bareiss) elimination of the rows,
+    each scaled to integers by the lcm of its denominators."""
+    if not M.is_square:
+        raise ValueError("determinant of a non-square matrix")
+    if M.nrows == 0:
+        return 1
+    rows = []
+    scalars = []
+    for row in M.data:
+        s = 1
+        for x in row:
+            if isinstance(x, Fraction):
+                s = s * x.denominator // math.gcd(s, x.denominator)
+        rows.append([int(x * s) for x in row])
+        scalars.append(s)
+    d = _bareiss_det(rows, M.nrows)
+    return _canon(Fraction(d, math.prod(scalars)))
 
 
 def invariant_factors_by_smith(M):
@@ -266,6 +310,30 @@ def circuits_by_solve(X, tree):
         vec[j] = denom
         circuits[j] = _primitive(vec, j)
     return circuits
+
+
+def bonds_by_kernel(X, tree):
+    """The bond half of ``critical.fundamental_vectors``: for each tree facet t,
+    an integer kernel basis of the rest of the tree's columns, searched for a
+    row combination whose coboundary is nonzero at t."""
+    tree = tuple(sorted(tree))
+    b = boundary_matrix(X, X.dim)
+    n = b.ncols
+    bonds = {}
+    for t in tree:
+        rest = [c for c in tree if c != t]
+        # row combinations y with (y^T b) vanishing on the rest of the tree
+        constraint = Matrix([[b[i, r] for i in range(b.nrows)] for r in rest], ncols=b.nrows)
+        ker = kernel_lattice_basis(constraint)
+        for jcol in range(ker.ncols):
+            y = ker.column(jcol)
+            u = [sum(y[i] * b[i, c] for i in range(b.nrows)) for c in range(n)]
+            if u[t]:
+                bonds[t] = _primitive(u, t)
+                break
+        else:
+            raise AssertionError("no fundamental bond found for a tree facet")
+    return bonds
 
 
 def _primitive(vec, positive_at):

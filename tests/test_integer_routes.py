@@ -36,6 +36,7 @@ from cellforest.oracle import (
 
 from corpus import SEED, random_pure_2_complexes
 from frozen import (
+    bonds_by_kernel,
     circuits_by_solve,
     defect_context_by_quotient,
     dense_laplacian,
@@ -178,10 +179,16 @@ def test_circuits_match_solve():
     assert forest_torsion(K62, rp2) == 2
     pairs.append((K62, tuple(sorted(rp2))))
     circuits = []
+    bonds = []
     for X, tree in pairs:
-        got = fundamental_vectors(X, tree)[1]
+        got_bonds, got = fundamental_vectors(X, tree)
         assert got == circuits_by_solve(X, tree)
+        assert got_bonds == bonds_by_kernel(X, tree)
         assert all(type(x) is int for vec in got.values() for x in vec)
+        assert all(type(x) is int for vec in got_bonds.values() for x in vec)
         circuits += got.values()
+        bonds += got_bonds.values()
     assert len(circuits) >= 40
     assert any(abs(x) > 1 for vec in circuits for x in vec)
+    assert len(bonds) >= 40
+    assert any(abs(x) > 1 for vec in bonds for x in vec)

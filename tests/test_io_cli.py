@@ -197,6 +197,26 @@ class TestCli:
         assert main(["tau", str(cpath), "--method", "bruteforce", "--weights", str(wpath), "--out", str(out_path)]) == 0
         assert "value: 19" in out_path.read_text()  # 3/2 + 5/2 + 15
 
+    def test_zero_denominator_weight_exit_code(self, tmp_path, capsys):
+        cpath = tmp_path / "k3.txt"
+        main(["gen", "simplex-skeleton", "3", "1", "--out", str(cpath)])
+        wpath = tmp_path / "w.txt"
+        wpath.write_text("1 0 1/0\n1 1 3\n1 2 5\n")
+        capsys.readouterr()
+        assert main(["tau", str(cpath), "--weights", str(wpath)]) == 2
+        assert capsys.readouterr().err == "error: weight has a zero denominator: '1 0 1/0'\n"
+
+    @pytest.mark.parametrize("method", ["weighted-alternating", "algebraic-weighted", "bruteforce"])
+    def test_missing_weight_exit_code(self, tmp_path, capsys, method):
+        cpath = tmp_path / "k42.txt"
+        main(["gen", "simplex-skeleton", "4", "2", "--out", str(cpath)])
+        wpath = tmp_path / "w.txt"
+        wpath.write_text("2 0 3\n")
+        capsys.readouterr()
+        assert main(["tau", str(cpath), "--method", method, "--weights", str(wpath)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: missing weight for a ") and err.count("\n") == 1
+
     def test_census_export_flag(self, tmp_path):
         cpath = tmp_path / "k3.txt"
         main(["gen", "simplex-skeleton", "3", "1", "--out", str(cpath)])

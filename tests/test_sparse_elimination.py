@@ -1,8 +1,10 @@
-"""Differential corpus: rank, greedy bases and invariant factors from the one
-sparse elimination step of ``linalg`` against the frozen dense greedy loop and
-the Smith form without the unit-minor certificate."""
+"""Differential corpus: rank, greedy bases, invariant factors and determinants
+from the one sparse elimination step of ``linalg`` against the frozen dense
+greedy loop, the Smith form without the unit-minor certificate and the
+Bareiss determinant."""
 
 import random
+from fractions import Fraction
 
 from cellforest import linalg
 from cellforest.complexes import laplacian
@@ -10,14 +12,17 @@ from cellforest.linalg import (
     Matrix,
     _greedy_path,
     _sparse_rows,
+    det,
     greedy_column_basis,
     greedy_row_basis,
     invariant_factors,
     rank,
 )
 
+from cellforest.matrix_forest import default_root
+
 from corpus import CORPUS, SEED, low_rank_psd, random_integer, random_rational
-from frozen import greedy_column_basis_dense, invariant_factors_by_smith
+from frozen import det_by_bareiss, greedy_column_basis_dense, invariant_factors_by_smith
 
 EMPTY = [Matrix([], ncols=0), Matrix([], ncols=3), Matrix.zeros(3, 0), Matrix.zeros(2, 3)]
 
@@ -75,13 +80,41 @@ def test_invariant_factors_match_smith_form_and_take_both_branches(monkeypatch):
         before = len(smith_runs)
         got = invariant_factors(M)
         # the Smith form runs exactly when the certificate fails
-        assert len(smith_runs) - before == (minor != 1)
+        assert len(smith_runs) - before == (abs(minor) != 1)
         assert got == invariant_factors_by_smith(M)
         assert type(got) is tuple and all(type(f) is int for f in got)
         assert len(basis) == len(got)
         if basis:
-            branches.add((minor == 1, all(f == 1 for f in got)))
+            branches.add((abs(minor) == 1, all(f == 1 for f in got)))
     # a unit minor proves every factor 1; a minor above 1 runs the Smith form,
     # which finds factors above 1 or, as on the conjugated Smith complexes,
     # all 1 after all
     assert branches == {(True, True), (False, True), (False, False)}
+
+
+def reduced_laplacians():
+    """Each corpus complex's top up-down Laplacian restricted off its default root."""
+    out = []
+    for X in CORPUS:
+        if X.dim < 1:
+            continue
+        L = laplacian(X, X.dim - 1, "ud")
+        root = set(default_root(X))
+        keep = [j for j in range(L.nrows) if j not in root]
+        out.append(L.submatrix(keep, keep))
+    return out
+
+
+def test_det_matches_bareiss():
+    square = [M for M in complex_matrices() + random_matrices() if M.is_square]
+    signs = [Matrix([[0, 1], [1, 0]]), Matrix([[2, 1], [1, 3]]), Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])]
+    matrices = square + reduced_laplacians() + signs + [Matrix([], ncols=0)]
+    assert len(matrices) > 300
+    seen = set()
+    for M in matrices:
+        got = det(M)
+        want = det_by_bareiss(M)
+        assert got == want and type(got) is type(want)
+        seen.add(((got > 0) - (got < 0), type(got)))
+    assert {(-1, int), (0, int), (1, int)} <= seen
+    assert any(t is Fraction for _, t in seen)
