@@ -15,6 +15,7 @@ Weight files: lines ``dim index value`` with ``value`` an integer or ``p/q``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .linalg import Matrix
@@ -23,6 +24,10 @@ from .complexes import ChainComplex, SimplicialComplex, WeightAssignment, from_f
 
 class FormatError(ValueError):
     pass
+
+
+# a weight value: an integer or p/q in ASCII digits, the numerator optionally signed
+_WEIGHT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _content_lines(text):
@@ -134,6 +139,8 @@ def parse_weights(text):
         key = (int(parts[0]), int(parts[1]))
         if key in values:
             raise FormatError(f"duplicate weight for cell {key}")
+        if not _WEIGHT.fullmatch(parts[2]):
+            raise FormatError(f"weight must be an integer or p/q: {line!r}")
         try:
             values[key] = Fraction(parts[2])
         except ZeroDivisionError:

@@ -26,8 +26,10 @@ prime.
 
 Conventions:
 
-* ``Matrix`` is immutable and dense; zero-by-n and n-by-zero shapes are legal
-  (they show up as empty lattice bases and fully-rooted relative boundaries).
+* ``Matrix`` is immutable and stored dense; zero-by-n and n-by-zero shapes
+  are legal (they show up as empty lattice bases and fully-rooted relative
+  boundaries).  Products run over nonzeros only, since boundaries, their
+  Gram matrices and Laplacians are mostly zero.
 * Characteristic polynomials are monic in ``z`` with coefficients stored in
   ascending order, so ``coeffs[k]`` multiplies ``z**k``.
 * Smith normal form returns positive invariant factors ``d_1 | d_2 | ... | d_r``
@@ -44,6 +46,8 @@ from operator import mul
 
 def _canon(x):
     """Normalize an entry: Fractions with unit denominator collapse to int."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, int):
@@ -145,11 +149,18 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-            bcols = other.columns()
-            return Matrix(
-                tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bcols) for row in self.data),
-                ncols=other.ncols,
-            )
+            # each row of the product adds a * (row k of other) over the nonzero a = self[i, k]
+            n = other.ncols
+            brows = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
+            out = []
+            for row in self.data:
+                acc = [0] * n
+                for a, brow in zip(row, brows):
+                    if a:
+                        for j, x in brow:
+                            acc[j] += a * x
+                out.append(acc)
+            return Matrix(out, ncols=n)
         return self.scale(other)
 
     def scale(self, s):

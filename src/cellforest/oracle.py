@@ -289,28 +289,33 @@ def enumerate_cobases(X, k, cap=None):
 def _defect_context(X, k):
     """d_k, its nullity and the saturated image of d_{k+1}: shared by every
     cobase at level k.  The image must lie in ker d_k, i.e. d_k d_{k+1} = 0,
-    which formal duals and matrix-form input never check at k = 0.
+    which formal duals and matrix-form input never check at k = 0; d_{k+1}
+    spans the same rational space as its saturation, so the check runs on it.
+    When rank d_{k+1} equals the nullity, the saturated image is all of
+    ker d_k and every defect is 1, so no saturation is computed and ``None``
+    stands for it.
     """
     bk = boundary_matrix(X, k)
-    if k + 1 <= X.dim:
-        sat = saturation_basis(boundary_matrix(X, k + 1))
-    else:
-        sat = Matrix.zeros(bk.ncols, 0)
-    if not (bk * sat).is_zero:
+    nullity = bk.ncols - rank(bk)
+    b = boundary_matrix(X, k + 1) if k < X.dim else Matrix.zeros(bk.ncols, 0)
+    if not (bk * b).is_zero:
         raise ValueError(
             f"d_{k} d_{k + 1} != 0 at level {k} "
             "(formal duals and matrix-form input skip the augmentation check)"
         )
-    return bk, bk.ncols - rank(bk), sat
+    if rank(b) == nullity:
+        return bk, nullity, None
+    return bk, nullity, saturation_basis(b)
 
 
 def _kernel_defect(bk, nullity, sat, cobase):
     """Index in ker d_k of the lattice sat + (kernel avoiding the cobase).
 
     ker d_k is saturated, so for generators of full rank inside it the index
-    is the product of their invariant factors.
+    is the product of their invariant factors.  ``sat`` is ``None`` when it
+    fills ker d_k, and the index is then 1.
     """
-    if nullity == 0:
+    if sat is None:
         return 1
     outside = sorted(set(range(bk.ncols)) - set(cobase))
     sub = bk.submatrix(range(bk.nrows), outside)
@@ -349,13 +354,10 @@ def cobase_defect_enumerator(X, k, cap=None):
     presumes d_k d_{k+1} = 0.
     """
     bk, nullity, sat = _defect_context(X, k)
-    # when the saturated image spans the whole kernel lattice (vanishing
-    # rational homology at level k), every defect is 1
-    trivial = sat.ncols == nullity
     total = 0
     for cobase in enumerate_cobases(X, k, cap):
         root = sorted(set(range(X.n_cells(k))) - set(cobase))
         t_root = forest_torsion(X, root, k)
-        defect = 1 if trivial else _kernel_defect(bk, nullity, sat, cobase)
+        defect = _kernel_defect(bk, nullity, sat, cobase)
         total += t_root * t_root * defect * defect
     return total

@@ -38,6 +38,17 @@ def _canon(x):
     return x
 
 
+def dense_product(A, B):
+    """``Matrix.__mul__`` of two matrices, as a dense sum over every entry pair."""
+    if A.ncols != B.nrows:
+        raise ValueError(f"shape mismatch {A.shape} * {B.shape}")
+    bcols = B.columns()
+    return Matrix(
+        tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bcols) for row in A.data),
+        ncols=B.ncols,
+    )
+
+
 def faddeev_leverrier(M):
     """Ascending coefficients of the monic det(z*I - M) (Faddeev-LeVerrier).
 
@@ -223,12 +234,12 @@ def dense_laplacian(X, k, kind="ud"):
         if not -1 <= k <= d - 1:
             raise ValueError(f"up-down Laplacian undefined at k={k} for a {d}-complex")
         b = X.boundaries[k + 1]
-        return b * b.transpose()
+        return dense_product(b, b.transpose())
     if kind == "du":
         if not 0 <= k <= d:
             raise ValueError(f"down-up Laplacian undefined at k={k} for a {d}-complex")
         b = X.boundaries[k]
-        return b.transpose() * b
+        return dense_product(b.transpose(), b)
     if not 0 <= k <= d - 1:
         raise ValueError(f"total Laplacian undefined at k={k} for a {d}-complex")
     return dense_laplacian(X, k, "ud") + dense_laplacian(X, k, "du")

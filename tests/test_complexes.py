@@ -67,6 +67,12 @@ class TestCompile:
         with pytest.raises(ValueError):
             ChainComplex.create((("a", "b"), ("e",)), (Matrix([[1], [1]]),))
 
+    def test_boundary_composition_rejected_above_the_augmentation(self):
+        # d_1 d_2 = (-1, 1)^T: checked even where the augmentation is waived
+        cells = (("a", "b"), ("e",), ("f",))
+        with pytest.raises(ValueError, match="composition at dimension 2 is nonzero"):
+            ChainComplex.create(cells, (Matrix([[-1], [1]]), Matrix([[1]])), check_augmentation=False)
+
     def test_augmentation_row(self, k3):
         assert boundary_matrix(k3, 0) == Matrix([[1, 1, 1]])
 

@@ -4,7 +4,8 @@ from math import prod
 
 import pytest
 
-from cellforest.complexes import WeightAssignment, from_facets
+from cellforest import oracle
+from cellforest.complexes import WeightAssignment, boundary_matrix, from_facets
 from cellforest.families import simplex_skeleton
 from cellforest.homology import (
     betti,
@@ -16,9 +17,11 @@ from cellforest.homology import (
     is_z_apc,
     relative_homology_torsion,
 )
-from cellforest.linalg import det, invariant_factors, rank
+from cellforest.linalg import det, invariant_factors, rank, saturation_basis
+from cellforest.matrix_forest import tau_cobase
 from cellforest.oracle import (
     CapExceeded,
+    _defect_context,
     cobase_defect_enumerator,
     cobase_kernel_defect,
     count_orientations,
@@ -29,6 +32,8 @@ from cellforest.oracle import (
     tau_bruteforce,
     tau_weighted_bruteforce,
 )
+
+from corpus import CORPUS
 
 
 class TestHomology:
@@ -215,3 +220,34 @@ class TestCobases:
             root = tuple(i for i in range(10) if i not in set(cobase))
             t_r = forest_torsion(moebius, root, 1)
             assert d == tau * defect * defect * t_r * t_r
+
+
+class TestLazySaturation:
+    def test_context_omits_the_saturation_exactly_when_it_fills_the_kernel(self):
+        seen = set()
+        for X in CORPUS:
+            for k in range(X.dim + 1):
+                try:
+                    bk, nullity, sat = _defect_context(X, k)
+                except ValueError:
+                    # the formal duals' vertex layer obeys no augmentation identity
+                    assert k == 0 and not (X.boundaries[0] * X.boundaries[1]).is_zero
+                    continue
+                image_rank = rank(boundary_matrix(X, k + 1)) if k < X.dim else 0
+                assert nullity == bk.ncols - rank(bk)
+                assert (sat is None) == (image_rank == nullity)
+                if sat is not None:
+                    assert sat.shape == (bk.ncols, image_rank)
+                    if k < X.dim:
+                        assert sat == saturation_basis(boundary_matrix(X, k + 1))
+                seen.add(sat is None)
+        assert seen == {True, False}
+
+    def test_tau_cobase_saturates_only_with_rational_homology(self, monkeypatch, moebius):
+        calls = []
+        saturate = oracle.saturation_basis
+        monkeypatch.setattr(oracle, "saturation_basis", lambda M: calls.append(M.shape) or saturate(M))
+        tau_cobase(simplex_skeleton(6, 2).to_chain_complex())
+        assert calls == []
+        tau_cobase(moebius)
+        assert calls == [boundary_matrix(moebius, 2).shape]

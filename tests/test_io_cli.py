@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -166,6 +167,20 @@ class TestCli:
         assert main(["gen", "shifted", "2,3,5"]) == 0
         assert "facets 7" in capsys.readouterr().out
 
+    def test_homology_rejects_nonzero_composition(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("dim 2\nmatrix 1 2 1\n-1\n1\nmatrix 2 1 1\n1\n")
+        assert main(["homology", str(path)]) == 2
+        assert capsys.readouterr().err == "error: boundary composition at dimension 2 is nonzero\n"
+
+    def test_homology_of_a_ten_vertex_simplex(self, tmp_path, capsys):
+        # one facet expands to 2^10 - 1 faces; a simplex has no reduced homology
+        path = tmp_path / "simplex.txt"
+        path.write_text("dim 9\nfacets 1\n" + " ".join(map(str, range(1, 11))) + "\n")
+        assert main(["homology", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == "dim 9\n" + "".join(f"k={k} betti=0 torsion=1 factors=-\n" for k in range(10))
+
     def test_homology_output(self, tmp_path, capsys):
         path = tmp_path / "rp2.txt"
         main(["gen", "named", "rp2_cell", "--out", str(path)])
@@ -205,6 +220,19 @@ class TestCli:
         capsys.readouterr()
         assert main(["tau", str(cpath), "--weights", str(wpath)]) == 2
         assert capsys.readouterr().err == "error: weight has a zero denominator: '1 0 1/0'\n"
+
+    @pytest.mark.parametrize("value", ["1e3", "0.5", "1e1000000"])
+    def test_weight_outside_the_format_exit_code(self, tmp_path, capsys, value):
+        # Fraction alone would take these, and 1e1000000 as a 3.3-million-bit integer
+        cpath = tmp_path / "k42.txt"
+        main(["gen", "simplex-skeleton", "4", "2", "--out", str(cpath)])
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(f"2 0 3\n2 1 {value}\n")
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["tau", str(cpath), "--method", "weighted-alternating", "--weights", str(wpath)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: weight must be an integer or p/q: '2 1 {value}'\n"
 
     @pytest.mark.parametrize("method", ["weighted-alternating", "algebraic-weighted", "bruteforce"])
     def test_missing_weight_exit_code(self, tmp_path, capsys, method):

@@ -1,8 +1,9 @@
 """Differential corpus: rank, greedy bases, invariant factors and determinants
 from the one sparse elimination step of ``linalg`` against the frozen dense
 greedy loop, the Smith form without the unit-minor certificate and the
-Bareiss determinant."""
+Bareiss determinant; and the sparse matrix product against the dense one."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from cellforest.linalg import (
 from cellforest.matrix_forest import default_root
 
 from corpus import CORPUS, SEED, low_rank_psd, random_integer, random_rational
-from frozen import det_by_bareiss, greedy_column_basis_dense, invariant_factors_by_smith
+from frozen import dense_product, det_by_bareiss, greedy_column_basis_dense, invariant_factors_by_smith
 
 EMPTY = [Matrix([], ncols=0), Matrix([], ncols=3), Matrix.zeros(3, 0), Matrix.zeros(2, 3)]
 
@@ -118,3 +119,48 @@ def test_det_matches_bareiss():
         seen.add(((got > 0) - (got < 0), type(got)))
     assert {(-1, int), (0, int), (1, int)} <= seen
     assert any(t is Fraction for _, t in seen)
+
+
+def product_pairs():
+    """Boundary x boundary, B^T x B and B x Laplacian pairs of the corpus."""
+    out = []
+    for X in CORPUS:
+        bs = X.boundaries
+        for a in bs:
+            out += [(a, b) for b in bs if a.ncols == b.nrows]
+            out.append((a.transpose(), a))
+        for k in range(X.dim):
+            L = laplacian(X, k, "ud")
+            # d_k L_k and, as in the covolume route, d_{k+1}^T L_k
+            out += [(bs[k], L), (bs[k + 1].transpose(), L)]
+    return out
+
+
+def random_product_pairs():
+    """Random integer, rational and mixed pairs, and rational pairs whose
+    product cancels to integers: the right factor is an integer matrix times
+    the lcm of the left factor's denominators."""
+    rng = random.Random(SEED)
+    out = []
+    for _ in range(60):
+        m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        A, B = random_integer(rng, m, ncols=k), random_integer(rng, k, ncols=n)
+        Q, R = random_rational(rng, m, ncols=k), random_rational(rng, k, ncols=n)
+        lcm = math.lcm(*(x.denominator for row in Q.data for x in row if isinstance(x, Fraction)))
+        out += [(A, B), (Q, R), (A, R), (Q, B), (Q, random_integer(rng, k, ncols=n).scale(lcm))]
+    return out
+
+
+def test_product_matches_dense_product():
+    pairs = product_pairs() + random_product_pairs()
+    pairs += [(Matrix([], ncols=3), Matrix.zeros(3, 2)), (Matrix.zeros(2, 0), Matrix([], ncols=3)),
+              (Matrix.zeros(2, 3), Matrix.zeros(3, 0))]
+    assert len(pairs) > 500
+    cancelled = 0
+    for A, B in pairs:
+        got, want = A * B, dense_product(A, B)
+        assert got.shape == want.shape and got.data == want.data
+        assert [type(x) for row in got.data for x in row] == [type(x) for row in want.data for x in row]
+        cancelled += not A.is_integral and got.is_integral and not got.is_zero
+    assert cancelled > 0
+    assert any(not (A * B).is_integral for A, B in pairs)
