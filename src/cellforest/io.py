@@ -26,8 +26,19 @@ class FormatError(ValueError):
     pass
 
 
-# a weight value: an integer or p/q in ASCII digits, the numerator optionally signed
+# an integer token, and a weight value (an integer or p/q), in ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _WEIGHT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _integers(tokens, line):
+    """The integer tokens of a file line, or a FormatError quoting the line."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        # int() also refuses a token past the interpreter's limit on digits
+        what = "integer has too many digits" if all(map(_INTEGER.fullmatch, tokens)) else "expected integers"
+        raise FormatError(f"{what}: {line!r}") from None
 
 
 def _content_lines(text):
@@ -47,7 +58,7 @@ def parse_any(text):
     head = lines[0].split()
     if len(head) != 2 or head[0] != "dim":
         raise FormatError("first line must be 'dim <d>'")
-    d = int(head[1])
+    (d,) = _integers(head[1:], lines[0])
     if d < 0:
         raise FormatError("dimension must be nonnegative")
     body = lines[1:]
@@ -55,13 +66,13 @@ def parse_any(text):
         parts = body[0].split()
         if len(parts) != 2:
             raise FormatError("facets header must be 'facets <count>'")
-        count = int(parts[1])
+        (count,) = _integers(parts[1:], body[0])
         facet_lines = body[1:]
         if len(facet_lines) != count:
             raise FormatError(f"expected {count} facet lines, found {len(facet_lines)}")
         facets = []
         for line in facet_lines:
-            vs = [int(t) for t in line.split()]
+            vs = _integers(line.split(), line)
             if vs != sorted(vs) or len(set(vs)) != len(vs):
                 raise FormatError(f"facet line must be a sorted vertex set: {line!r}")
             facets.append(set(vs))
@@ -76,13 +87,13 @@ def parse_any(text):
         parts = body[i].split()
         if len(parts) != 4 or parts[0] != "matrix":
             raise FormatError(f"expected 'matrix k rows cols', got {body[i]!r}")
-        k, nrows, ncols = int(parts[1]), int(parts[2]), int(parts[3])
+        k, nrows, ncols = _integers(parts[1:], body[i])
         rows = []
         for j in range(nrows):
             i += 1
             if i >= len(body):
                 raise FormatError(f"matrix {k}: missing row {j}")
-            row = [int(t) for t in body[i].split()]
+            row = _integers(body[i].split(), body[i])
             if len(row) != ncols:
                 raise FormatError(f"matrix {k}: row {j} has {len(row)} entries, expected {ncols}")
             rows.append(row)
@@ -136,13 +147,13 @@ def parse_weights(text):
         parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"weight line must be 'dim index value': {line!r}")
-        key = (int(parts[0]), int(parts[1]))
+        key = tuple(_integers(parts[:2], line))
         if key in values:
             raise FormatError(f"duplicate weight for cell {key}")
         if not _WEIGHT.fullmatch(parts[2]):
             raise FormatError(f"weight must be an integer or p/q: {line!r}")
         try:
-            values[key] = Fraction(parts[2])
+            values[key] = Fraction(*_integers(parts[2].split("/"), line))
         except ZeroDivisionError:
             raise FormatError(f"weight has a zero denominator: {line!r}") from None
     return WeightAssignment(values)

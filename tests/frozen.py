@@ -23,8 +23,8 @@ from cellforest.linalg import (
     rank,
     saturation_basis,
     _hessenberg_char_poly_mod,
+    _integer_rows,
     _prime,
-    _snf_core,
     _sparse_columns,
     solve_matrix,
 )
@@ -128,8 +128,8 @@ def char_poly_common_denominator(M):
 
 
 # ---------------------------------------------------------------------------
-# the dense greedy loop, the Bareiss determinant and the Smith form without
-# the unit-minor certificate
+# the dense greedy loop, the Bareiss determinant, and the dense Smith loop
+# with its transform switch, with and without the unit-minor certificate
 # ---------------------------------------------------------------------------
 
 def _normalize_row(row):
@@ -212,6 +212,112 @@ def det_by_bareiss(M):
     return _canon(Fraction(d, math.prod(scalars)))
 
 
+def _snf_core(A, m, n, want_transforms):
+    """Diagonalize integer matrix A in place; returns (factors, L, R)."""
+    L = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if want_transforms else None
+    R = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if want_transforms else None
+    factors = []
+    t = 0
+    while True:
+        # locate a pivot of smallest nonzero magnitude in the trailing block
+        best = None
+        for i in range(t, m):
+            Ai = A[i]
+            for j in range(t, n):
+                v = Ai[j]
+                if v:
+                    a = abs(v)
+                    if best is None or a < best[0]:
+                        best = (a, i, j)
+                        if a == 1:
+                            break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            A[t], A[bi] = A[bi], A[t]
+            if L:
+                L[t], L[bi] = L[bi], L[t]
+        if bj != t:
+            for row in A:
+                row[t], row[bj] = row[bj], row[t]
+            if R:
+                for row in R:
+                    row[t], row[bj] = row[bj], row[t]
+        while True:
+            # clear the pivot column with row operations
+            restart = False
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    if q:
+                        Ai, At = A[i], A[t]
+                        for j in range(t, n):
+                            Ai[j] -= q * At[j]
+                        if L:
+                            Li, Lt = L[i], L[t]
+                            for j in range(m):
+                                Li[j] -= q * Lt[j]
+                    if A[i][t]:
+                        A[t], A[i] = A[i], A[t]
+                        if L:
+                            L[t], L[i] = L[i], L[t]
+                        restart = True
+            if restart:
+                continue
+            # clear the pivot row with column operations
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    if q:
+                        for row in A:
+                            row[j] -= q * row[t]
+                        if R:
+                            for row in R:
+                                row[j] -= q * row[t]
+                    if A[t][j]:
+                        for row in A:
+                            row[t], row[j] = row[j], row[t]
+                        if R:
+                            for row in R:
+                                row[t], row[j] = row[j], row[t]
+                        restart = True
+            if restart:
+                continue
+            # divisibility: the pivot must divide every remaining entry
+            p = A[t][t]
+            offender = None
+            for i in range(t + 1, m):
+                Ai = A[i]
+                for j in range(t + 1, n):
+                    if Ai[j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            At = A[t]
+            Ao = A[offender]
+            for j in range(t, n):
+                At[j] += Ao[j]
+            if L:
+                Lt, Lo = L[t], L[offender]
+                for j in range(m):
+                    Lt[j] += Lo[j]
+        if A[t][t] < 0:
+            for j in range(t, n):
+                A[t][j] = -A[t][j]
+            if L:
+                for j in range(m):
+                    L[t][j] = -L[t][j]
+        factors.append(A[t][t])
+        t += 1
+    return factors, L, R
+
+
 def invariant_factors_by_smith(M):
     """``linalg.invariant_factors``: a dense Smith form of every matrix."""
     if not M.is_integral:
@@ -219,6 +325,16 @@ def invariant_factors_by_smith(M):
     A = [list(row) for row in M.data]
     factors, _, _ = _snf_core(A, M.nrows, M.ncols, want_transforms=False)
     return tuple(factors)
+
+
+def kernel_lattice_basis_by_smith(M):
+    """``linalg.kernel_lattice_basis``: the last columns of the right Smith transform."""
+    rows, _ = _integer_rows(M)
+    A = [row[:] for row in rows]
+    factors, _, R = _snf_core(A, M.nrows, M.ncols, want_transforms=True)
+    r = len(factors)
+    cols = [tuple(R[i][j] for i in range(M.ncols)) for j in range(r, M.ncols)]
+    return Matrix.from_columns(cols, nrows=M.ncols)
 
 
 # ---------------------------------------------------------------------------

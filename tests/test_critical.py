@@ -1,6 +1,6 @@
 import pytest
 
-from cellforest.complexes import ChainComplex
+from cellforest.complexes import ChainComplex, skeleton
 from cellforest.critical import (
     AbelianGroupStructure,
     critical_group,
@@ -11,8 +11,9 @@ from cellforest.critical import (
     fundamental_vectors,
     sequence_order_check,
 )
-from cellforest.families import named_complex, simplex_skeleton
+from cellforest.families import hypercube_complex, hypercube_tree_count, named_complex, simplex_skeleton
 from cellforest.linalg import Matrix, lattice_quotient_order
+from cellforest.matrix_forest import tau_reduced
 from cellforest import oracle
 from cellforest.oracle import (
     CapExceeded,
@@ -47,6 +48,16 @@ class TestCriticalGroup:
         X = simplex_skeleton(10, 3).to_chain_complex()
         for i in (1, 2):
             assert critical_group_reduced(X, i) == critical_group(X, i)
+
+    def test_hypercube_five_two_skeleton(self):
+        # the Smith forms of its L_1 and of its lattices' Grams once ran past a
+        # minute, their entries growing to 500,000 bits
+        X = skeleton(hypercube_complex(5), 2)
+        K1 = critical_group(X, 1)
+        assert K1.order == tau_reduced(X).value == hypercube_tree_count(2, 5)
+        assert critical_group(X, 0).order == hypercube_tree_count(1, 5)
+        rep = sequence_order_check(X)
+        assert rep.ok and rep.critical_order == K1.order
 
     def test_lazy_forest_is_the_census_first_torsion_free_one(self, monkeypatch):
         for X in CORPUS:

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import cellforest
 from cellforest import io as cfio
 from cellforest.cli import main
 from cellforest.complexes import SimplicialComplex
@@ -234,6 +238,30 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == f"error: weight must be an integer or p/q: '2 1 {value}'\n"
 
+    @pytest.mark.parametrize("case", ["matrix entry", "weight", "facet vertex"])
+    def test_bad_integer_token_names_the_line(self, tmp_path, capsys, case):
+        # int() alone would report its digit limit or an invalid literal, with no line
+        long = "7" * 5000
+        cpath = tmp_path / "c.txt"
+        wpath = tmp_path / "w.txt"
+        argv = ["tau", str(cpath)]
+        if case == "matrix entry":
+            bad = f"{long} -1"
+            cpath.write_text(f"dim 1\nmatrix 1 1 2\n{bad}\n")
+        elif case == "weight":
+            main(["gen", "simplex-skeleton", "3", "1", "--out", str(cpath)])
+            bad = f"1 0 {long}"
+            wpath.write_text(f"{bad}\n1 1 3\n1 2 5\n")
+            argv += ["--weights", str(wpath)]
+        else:
+            bad = "1 x"
+            cpath.write_text(f"dim 1\nfacets 2\n1 2\n{bad}\n")
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(bad) in err and "set_int_max_str_digits" not in err
+
     @pytest.mark.parametrize("method", ["weighted-alternating", "algebraic-weighted", "bruteforce"])
     def test_missing_weight_exit_code(self, tmp_path, capsys, method):
         cpath = tmp_path / "k42.txt"
@@ -278,6 +306,23 @@ class TestCli:
         assert main(["gen", "simplex-skeleton", "8", "2", "--out", str(path)]) == 0
         assert main(["critical", str(path)]) == 0
         assert capsys.readouterr().out == (GOLDEN / "critical_K8_2.txt").read_text()
+
+    def test_critical_on_the_hypercube_five_two_skeleton(self, tmp_path):
+        # a separate interpreter with a timeout, so that a Smith form whose
+        # entries explode fails this test instead of hanging the suite
+        path = tmp_path / "q52.txt"
+        assert main(["gen", "hypercube-skeleton", "5", "2", "--out", str(path)]) == 0
+        src = str(Path(cellforest.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cellforest.cli", "critical", str(path)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[1].startswith("k=0 ") and "order=20776019874734407680 reduced_agrees=yes" in lines[1]
+        assert lines[2].startswith("k=1 ") and "order=64925062108545024000 reduced_agrees=yes" in lines[2]
+        assert lines[3].endswith("relations=ok")
 
     def test_unknown_family_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

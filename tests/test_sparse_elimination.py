@@ -1,7 +1,9 @@
 """Differential corpus: rank, greedy bases, invariant factors and determinants
 from the one sparse elimination step of ``linalg`` against the frozen dense
 greedy loop, the Smith form without the unit-minor certificate and the
-Bareiss determinant; and the sparse matrix product against the dense one."""
+Bareiss determinant; Smith forms and integer kernels from the Hermite loop
+against the frozen dense Smith loop; and the sparse matrix product against
+the dense one."""
 
 import math
 import random
@@ -13,17 +15,26 @@ from cellforest.linalg import (
     Matrix,
     _greedy_path,
     _sparse_rows,
+    column_lattice_basis,
     det,
     greedy_column_basis,
     greedy_row_basis,
     invariant_factors,
+    kernel_lattice_basis,
     rank,
+    smith_normal_form,
 )
 
 from cellforest.matrix_forest import default_root
 
 from corpus import CORPUS, SEED, low_rank_psd, random_integer, random_rational
-from frozen import dense_product, det_by_bareiss, greedy_column_basis_dense, invariant_factors_by_smith
+from frozen import (
+    dense_product,
+    det_by_bareiss,
+    greedy_column_basis_dense,
+    invariant_factors_by_smith,
+    kernel_lattice_basis_by_smith,
+)
 
 EMPTY = [Matrix([], ncols=0), Matrix([], ncols=3), Matrix.zeros(3, 0), Matrix.zeros(2, 3)]
 
@@ -71,10 +82,8 @@ def test_ranks_and_greedy_bases_match_dense_loop():
 def test_invariant_factors_match_smith_form_and_take_both_branches(monkeypatch):
     matrices = [M for M in complex_matrices() + random_matrices() + EMPTY if M.is_integral]
     smith_runs = []
-    snf_core = linalg._snf_core
-    monkeypatch.setattr(
-        linalg, "_snf_core", lambda *args, **kw: smith_runs.append(1) or snf_core(*args, **kw)
-    )
+    smith = linalg._smith
+    monkeypatch.setattr(linalg, "_smith", lambda *args: smith_runs.append(1) or smith(*args))
     branches = set()
     for M in matrices:
         basis, minor = _greedy_path(_sparse_rows(M))
@@ -91,6 +100,45 @@ def test_invariant_factors_match_smith_form_and_take_both_branches(monkeypatch):
     # which finds factors above 1 or, as on the conjugated Smith complexes,
     # all 1 after all
     assert branches == {(True, True), (False, True), (False, False)}
+
+
+def gram_matrices():
+    """B^T B for every boundary B of the corpus: the discriminant groups' Grams."""
+    return [B.transpose() * B for X in CORPUS for B in X.boundaries]
+
+
+def large_entry_matrices():
+    """Seeded integer matrices with entries up to 10^6, full rank and low rank."""
+    rng = random.Random(SEED)
+    out = []
+    for _ in range(30):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        out.append(random_integer(rng, m, -10**6, 10**6, ncols=n))
+        r = rng.randint(1, min(m, n))
+        out.append(random_integer(rng, m, -10**3, 10**3, ncols=r) * random_integer(rng, r, -10**3, 10**3, ncols=n))
+    return out
+
+
+def test_smith_forms_and_kernels_match_frozen_loop():
+    matrices = complex_matrices() + random_matrices() + EMPTY + gram_matrices() + large_entry_matrices()
+    assert len(matrices) > 600
+    torsion = 0
+    for M in matrices:
+        # the kernel is the same saturated lattice as the Smith transform's
+        got = kernel_lattice_basis(M)
+        assert got.ncols == M.ncols - rank(M) and (M * got).is_zero
+        assert column_lattice_basis(got) == column_lattice_basis(kernel_lattice_basis_by_smith(M))
+        if not M.is_integral:
+            continue
+        factors = invariant_factors(M)
+        assert factors == invariant_factors_by_smith(M)
+        assert type(factors) is tuple and all(type(f) is int for f in factors)
+        res = smith_normal_form(M)
+        assert res.invariant_factors == factors
+        assert res.left * M * res.right == res.diagonal_matrix(*M.shape)
+        assert abs(det(res.left)) == 1 and abs(det(res.right)) == 1
+        torsion += any(f > 1 for f in factors)
+    assert torsion > 50
 
 
 def reduced_laplacians():
