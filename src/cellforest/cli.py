@@ -120,6 +120,12 @@ def cmd_homology(args):
     lines = [f"dim {X.dim}"]
     for k in ks:
         h = homology(X, k)
+        if h.betti < 0:
+            # rank d_{k+1} exceeds nullity d_k only where d_k d_{k+1} != 0
+            raise ValueError(
+                f"d_{k} d_{k + 1} != 0 at level {k} "
+                "(formal duals and matrix-form input skip the augmentation check)"
+            )
         factors = ",".join(str(f) for f in h.torsion_factors) or "-"
         lines.append(f"k={k} betti={h.betti} torsion={h.torsion_order} factors={factors}")
     _emit("\n".join(lines) + "\n", args.out)

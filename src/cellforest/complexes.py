@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .linalg import Matrix
+from .linalg import Matrix, _sparse_columns
 
 LAPLACIAN_KINDS = ("ud", "du", "tot")
 
@@ -116,7 +116,7 @@ def laplacian(X, k, kind="ud"):
             raise ValueError(f"total Laplacian undefined at k={k} for a {d}-complex")
         return laplacian(X, k, "ud") + laplacian(X, k, "du")
     G, _ = _gram(b)
-    return Matrix(G, ncols=len(G))
+    return Matrix._from_rows(G, len(G), True)
 
 
 class WeightAssignment:
@@ -187,24 +187,25 @@ class WeightAssignment:
 def _gram(b, weights=None):
     """(G, q): the integer matrix G with b D b^T = G / q, D the diagonal of the
     column weights (all 1 if ``weights`` is None), q their denominators' lcm.
+    G is given by the nonzeros of its rows, {column: value} in ascending order.
 
-    Column c of b adds q w_c b_ic b_jc to G[i][j] for each pair (i, j) of its
-    nonzero entries, so no rational arithmetic and no dense product is done.
+    Column c of the integer matrix b adds q w_c b_ic b_jc to G[i][j] for each
+    pair (i, j) of its nonzero entries, so no rational arithmetic and no dense
+    product is done.
     """
     if weights is None:
         weights = (1,) * b.ncols
     q = 1
     for x in weights:
         q = q * x.denominator // gcd(q, x.denominator)
-    G = [[0] * b.nrows for _ in range(b.nrows)]
-    for x, col in zip(weights, b.columns()):
+    G = [{} for _ in range(b.nrows)]
+    for x, col in zip(weights, _sparse_columns(b)):
         wq = x.numerator * (q // x.denominator)
-        support = [(i, v) for i, v in enumerate(col) if v]
-        for i, vi in support:
+        for i, vi in col.items():
             Gi, vw = G[i], vi * wq
-            for j, vj in support:
-                Gi[j] += vw * vj
-    return G, q
+            for j, vj in col.items():
+                Gi[j] = Gi.get(j, 0) + vw * vj
+    return [{j: Gi[j] for j in sorted(Gi) if Gi[j]} for Gi in G], q
 
 
 def weighted_laplacian(X, k, w):
@@ -213,7 +214,7 @@ def weighted_laplacian(X, k, w):
     With all weights 1 this is ``laplacian(X, k-1, "ud")``.
     """
     G, q = _gram(boundary_matrix(X, k), w.cell_weights(X, k))
-    return Matrix([[Fraction(x, q) if x else 0 for x in row] for row in G], ncols=len(G))
+    return Matrix._from_rows([{j: Fraction(x, q) for j, x in row.items()} for row in G], len(G))
 
 
 def weighted_laplacian_similar(X, k, w):
@@ -227,10 +228,10 @@ def weighted_laplacian_similar(X, k, w):
     G, q = _gram(boundary_matrix(X, k), w.cell_weights(X, k))
     # row i is divided by the weight of the i-th (k-1)-cell (the empty face's is 1)
     rows = [
-        [Fraction(v * x.denominator, q * x.numerator) if v else 0 for v in row]
+        {j: Fraction(v * x.denominator, q * x.numerator) for j, v in row.items()}
         for x, row in zip(w.cell_weights(X, k - 1), G)
     ]
-    return Matrix(rows, ncols=len(G))
+    return Matrix._from_rows(rows, len(G))
 
 
 def relative_boundary(X, removed_rows, k=None):
@@ -336,12 +337,13 @@ def compile_complex(S):
     interior = []
     for k in range(1, len(layers)):
         index = {face: i for i, face in enumerate(layers[k - 1])}
-        rows = [[0] * len(layers[k]) for _ in layers[k - 1]]
+        # row by row as their nonzeros, filled in ascending column order
+        rows = [{} for _ in layers[k - 1]]
         for j, face in enumerate(layers[k]):
             for i, _ in enumerate(face):
                 sub = face[:i] + face[i + 1 :]
                 rows[index[sub]][j] = -1 if i % 2 else 1
-        interior.append(Matrix(rows, ncols=len(layers[k])))
+        interior.append(Matrix._from_rows(rows, len(layers[k]), True))
     return ChainComplex.create(cells, interior)
 
 

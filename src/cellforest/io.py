@@ -32,13 +32,18 @@ _WEIGHT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _integers(tokens, line):
-    """The integer tokens of a file line, or a FormatError quoting the line."""
+    """The integer tokens of a file line, or a FormatError quoting the line.
+
+    Each token must match ``_INTEGER`` before ``int()`` sees it, since
+    ``int()`` also takes underscores and non-ASCII digits.
+    """
+    if not all(map(_INTEGER.fullmatch, tokens)):
+        raise FormatError(f"expected integers: {line!r}")
     try:
         return [int(t) for t in tokens]
     except ValueError:
-        # int() also refuses a token past the interpreter's limit on digits
-        what = "integer has too many digits" if all(map(_INTEGER.fullmatch, tokens)) else "expected integers"
-        raise FormatError(f"{what}: {line!r}") from None
+        # int() refuses a token past the interpreter's limit on digits
+        raise FormatError(f"integer has too many digits: {line!r}") from None
 
 
 def _content_lines(text):
@@ -67,6 +72,8 @@ def parse_any(text):
         if len(parts) != 2:
             raise FormatError("facets header must be 'facets <count>'")
         (count,) = _integers(parts[1:], body[0])
+        if count < 1:
+            raise FormatError(f"facet count must be at least 1: {body[0]!r}")
         facet_lines = body[1:]
         if len(facet_lines) != count:
             raise FormatError(f"expected {count} facet lines, found {len(facet_lines)}")
@@ -96,8 +103,8 @@ def parse_any(text):
             row = _integers(body[i].split(), body[i])
             if len(row) != ncols:
                 raise FormatError(f"matrix {k}: row {j} has {len(row)} entries, expected {ncols}")
-            rows.append(row)
-        matrices[k] = Matrix(rows, ncols=ncols)
+            rows.append({j: x for j, x in enumerate(row) if x})
+        matrices[k] = Matrix._from_rows(rows, ncols, True)
         i += 1
     if sorted(matrices) != list(range(1, d + 1)):
         raise FormatError(f"need matrix blocks for k = 1..{d}")

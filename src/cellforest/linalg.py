@@ -34,10 +34,10 @@ prime.
 
 Conventions:
 
-* ``Matrix`` is immutable and stored dense; zero-by-n and n-by-zero shapes
-  are legal (they show up as empty lattice bases and fully-rooted relative
-  boundaries).  Products run over nonzeros only, since boundaries, their
-  Gram matrices and Laplacians are mostly zero.
+* ``Matrix`` is immutable and stores each row as its nonzeros, so products,
+  transposes and eliminations of the mostly zero boundaries and Laplacians
+  cost only those; ``data`` is a dense view built on request.  Zero-by-n and
+  n-by-zero shapes are legal (empty lattice bases, fully-rooted boundaries).
 * Characteristic polynomials are monic in ``z`` with coefficients stored in
   ascending order, so ``coeffs[k]`` multiplies ``z**k``.
 * Smith normal form returns positive invariant factors ``d_1 | d_2 | ... | d_r``
@@ -68,57 +68,77 @@ def _canon(x):
 
 
 class Matrix:
-    """Immutable dense matrix over exact integers / rationals."""
+    """Immutable sparse matrix over exact integers / rationals: row i is the
+    {column: value} dict ``_rows[i]`` of its nonzeros, in ascending column order."""
 
-    __slots__ = ("nrows", "ncols", "data")
+    __slots__ = ("nrows", "ncols", "_rows", "is_integral")
 
     def __init__(self, rows, ncols=None):
-        data = tuple(tuple(_canon(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
+        rows = list(map(tuple, rows))
+        if rows:
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
                 raise ValueError("ragged rows")
             if ncols is not None and ncols != width:
                 raise ValueError("ncols does not match row width")
             ncols = width
         elif ncols is None:
             raise ValueError("a matrix with no rows needs an explicit ncols")
-        self.data = data
-        self.nrows = len(data)
+        # a row of ints skips _canon, which checks every other entry, zeros too
+        self._set([{j: x for j, x in enumerate(r) if x} if set(map(type, r)) <= {int}
+                   else {j: y for j, x in enumerate(r) if (y := _canon(x))} for r in rows], ncols)
+
+    def _set(self, rows, ncols, integral=None):
+        """Store the {column: value} rows.  Unless ``integral`` is given, their
+        Fractions of denominator 1 become ints and integrality is found."""
+        if integral is None:
+            integral = True
+            for row in rows:
+                for j, x in row.items():
+                    if type(x) is not int:
+                        if x.denominator == 1:
+                            row[j] = x.numerator
+                        else:
+                            integral = False
+        self._rows = tuple(rows)
+        self.nrows = len(self._rows)
         self.ncols = ncols
+        self.is_integral = integral
+
+    @classmethod
+    def _from_rows(cls, rows, ncols, integral=None):
+        """The matrix whose row i has the nonzeros ``rows[i]``, as in ``_set``."""
+        M = object.__new__(cls)
+        M._set(rows, ncols, integral)
+        return M
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), ncols=n)
+        return cls.diagonal((1,) * n)
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls(tuple((0,) * ncols for _ in range(nrows)), ncols=ncols)
+        return cls._from_rows([{} for _ in range(nrows)], ncols, True)
 
     @classmethod
     def from_columns(cls, cols, nrows=None):
-        cols = tuple(tuple(c) for c in cols)
-        if cols:
-            nrows = len(cols[0])
-        elif nrows is None:
+        cols = tuple(cols)
+        if not cols and nrows is None:
             raise ValueError("a matrix with no columns needs an explicit nrows")
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(nrows)), ncols=len(cols))
+        return cls(cols, ncols=None if cols else nrows).transpose()
 
     @classmethod
     def diagonal(cls, entries, nrows=None, ncols=None):
         entries = tuple(entries)
-        n = len(entries)
-        nrows = n if nrows is None else nrows
-        ncols = n if ncols is None else ncols
-        return cls(
-            tuple(
-                tuple(entries[i] if i == j and i < n else 0 for j in range(ncols))
-                for i in range(nrows)
-            ),
-            ncols=ncols,
-        )
+        nrows = len(entries) if nrows is None else nrows
+        ncols = len(entries) if ncols is None else ncols
+        rows = [{} for _ in range(nrows)]
+        for i in range(min(len(entries), nrows, ncols)):
+            if x := _canon(entries[i]):
+                rows[i][i] = x
+        return cls._from_rows(rows, ncols)
 
     # -- accessors --------------------------------------------------------
 
@@ -131,29 +151,48 @@ class Matrix:
         return self.nrows == self.ncols
 
     @property
-    def is_integral(self):
-        return all(isinstance(x, int) for row in self.data for x in row)
+    def data(self):
+        """The dense rows, built on demand."""
+        return tuple(map(self.row, range(self.nrows)))
+
+    def _col(self, j):
+        if not -self.ncols <= j < self.ncols:
+            raise IndexError("matrix column index out of range")
+        return j % self.ncols
 
     def __getitem__(self, key):
         i, j = key
-        return self.data[i][j]
+        return self._rows[i].get(self._col(j), 0)
 
     def row(self, i):
-        return self.data[i]
+        out = [0] * self.ncols
+        for j, x in self._rows[i].items():
+            out[j] = x
+        return tuple(out)
 
     def column(self, j):
-        return tuple(row[j] for row in self.data)
+        j = self._col(j)
+        return tuple(row.get(j, 0) for row in self._rows)
 
     def columns(self):
-        return tuple(zip(*self.data)) if self.nrows else ((),) * self.ncols
+        return self.transpose().data
 
     def submatrix(self, rows, cols):
-        rows = tuple(rows)
-        cols = tuple(cols)
-        return Matrix(tuple(tuple(self.data[i][j] for j in cols) for i in rows), ncols=len(cols))
+        cols = [self._col(j) for j in cols]
+        at = {c: k for k, c in enumerate(cols)}
+        picked = [self._rows[i] for i in rows]
+        if all(a < b for a, b in zip(cols, cols[1:])):  # ascending: walk the nonzeros
+            out = [{at[j]: x for j, x in row.items() if j in at} for row in picked]
+        else:
+            out = [{k: row[c] for k, c in enumerate(cols) if c in row} for row in picked]
+        return Matrix._from_rows(out, len(cols), self.is_integral or None)
 
     def transpose(self):
-        return Matrix(self.columns(), ncols=self.nrows)
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return Matrix._from_rows(cols, self.nrows, self.is_integral)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -161,31 +200,28 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-            # each row of the product adds a * (row k of other) over the nonzero a = self[i, k]
-            n = other.ncols
-            brows = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
+            # row i of the product adds a * (row k of other) over the nonzeros a = self[i, k]
             out = []
-            for row in self.data:
-                acc = [0] * n
-                for a, brow in zip(row, brows):
-                    if a:
-                        for j, x in brow:
-                            acc[j] += a * x
-                out.append(acc)
-            return Matrix(out, ncols=n)
+            for row in self._rows:
+                acc = {}
+                for k, a in row.items():
+                    for j, x in other._rows[k].items():
+                        acc[j] = acc.get(j, 0) + a * x
+                out.append({j: acc[j] for j in sorted(acc) if acc[j]})
+            return Matrix._from_rows(out, other.ncols, (self.is_integral and other.is_integral) or None)
         return self.scale(other)
 
     def scale(self, s):
         s = _canon(s)
-        return Matrix(tuple(tuple(s * x for x in row) for row in self.data), ncols=self.ncols)
+        out = [{j: s * x for j, x in row.items()} if s else {} for row in self._rows]
+        return Matrix._from_rows(out, self.ncols, (self.is_integral and isinstance(s, int)) or None)
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return Matrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
-            ncols=self.ncols,
-        )
+        out = [{j: v for j in sorted(r1.keys() | r2.keys()) if (v := r1.get(j, 0) + r2.get(j, 0))}
+               for r1, r2 in zip(self._rows, other._rows)]
+        return Matrix._from_rows(out, self.ncols, (self.is_integral and other.is_integral) or None)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -195,13 +231,13 @@ class Matrix:
 
     @property
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self._rows)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.shape == other.shape and self.data == other.data
+        return isinstance(other, Matrix) and self.shape == other.shape and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.data))
+        return hash((self.nrows, self.ncols, tuple(tuple(row.items()) for row in self._rows)))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -229,10 +265,7 @@ class CharPoly:
 
     def strip_zero_roots(self):
         """Drop the z^m factor: coefficients above the lowest nonzero one."""
-        k = 0
-        while k < len(self.coeffs) and self.coeffs[k] == 0:
-            k += 1
-        return self.coeffs[k:]
+        return self.coeffs[next((k for k, c in enumerate(self.coeffs) if c), len(self.coeffs)):]
 
 
 @dataclass(frozen=True)
@@ -252,56 +285,32 @@ class SNFResult:
 
 
 # ---------------------------------------------------------------------------
-# helpers shared by the elimination routines
-# ---------------------------------------------------------------------------
-
-
-def _integer_rows(M):
-    """Scale each row by its denominator lcm; returns (rows, per-row scalars).
-
-    Row scaling preserves rank and kernel, and multiplies the determinant by
-    the product of the scalars.
-    """
-    rows = []
-    scalars = []
-    for row in M.data:
-        s = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                s = s * x.denominator // math.gcd(s, x.denominator)
-        rows.append([int(x * s) for x in row])
-        scalars.append(s)
-    return rows, scalars
-
-
-# ---------------------------------------------------------------------------
 # the sparse elimination step: rank, greedy bases, determinants and the
 # unit-minor certificate
 # ---------------------------------------------------------------------------
 
 
-def _sparse(vec):
-    """A vector as a {index: value} integer dict, scaled by its denominator lcm."""
-    w = {i: x for i, x in enumerate(vec) if x}
-    s = 1
-    for x in w.values():
-        if isinstance(x, Fraction):
-            s = s * x.denominator // math.gcd(s, x.denominator)
-    return w if s == 1 else {i: int(x * s) for i, x in w.items()}
-
-
-def _sparse_columns(M):
-    """M's columns as sparse {row: value} integer dicts.
-
-    A column holding fractions is scaled by the lcm of its denominators, which
-    keeps every rank and every lexicographic basis.
+def _integer_rows(M):
+    """(rows, scalars): M's rows as sparse {column: value} integer dicts, each
+    scaled by the lcm of its denominators, and those lcms.  Row scaling keeps
+    rank and kernel, and multiplies det by the product of the scalars.  An
+    integer matrix gives its stored rows.
     """
-    return tuple(map(_sparse, M.columns()))
+    if M.is_integral:
+        return M._rows, (1,) * M.nrows
+    scalars = [math.lcm(*(x.denominator for x in row.values() if type(x) is not int)) for row in M._rows]
+    return [{j: int(x * s) for j, x in row.items()} for s, row in zip(scalars, M._rows)], scalars
 
 
 def _sparse_rows(M):
-    """M's rows as sparse {column: value} integer dicts, scaled like the columns."""
-    return tuple(map(_sparse, M.data))
+    """M's rows as sparse {column: value} integer dicts, scaled as in ``_integer_rows``."""
+    return _integer_rows(M)[0]
+
+
+def _sparse_columns(M):
+    """M's columns as sparse {row: value} integer dicts, each scaled by the lcm
+    of its denominators, which keeps every rank and every lexicographic basis."""
+    return _sparse_rows(M.transpose())
 
 
 def _eliminate(cands, pr, v, pv):
@@ -309,7 +318,9 @@ def _eliminate(cands, pr, v, pv):
 
     Each w <- pv*w - w[pr]*v is divided by its content h, so that
     w = (a/g)*column_j + (pivot columns) holds with a <- a*pv and g <- g*h.
-    A candidate reduced to zero depends on the pivots and is dropped.
+    A candidate reduced to zero depends on the pivots and is dropped.  No dict
+    given is mutated (w is copied before its update), so the columns may be
+    the stored rows of a Matrix, which ``_sparse_rows`` hands out uncopied.
     """
     rest = []
     for cand in cands:
@@ -397,7 +408,7 @@ def det(M):
     if not M.is_square:
         raise ValueError("determinant of a non-square matrix")
     rows, scalars = _integer_rows(M)
-    basis, minor = _greedy_path([{j: x for j, x in enumerate(row) if x} for row in rows])
+    basis, minor = _greedy_path(rows)
     if len(basis) < M.nrows:
         return 0
     return _canon(Fraction(minor, math.prod(scalars)))
@@ -435,8 +446,9 @@ def char_poly(M):
     R = math.prod(scalars)
     bound = 1
     for r, row in zip(scalars, N):
-        s = sum(x * x for x in row)
+        s = sum(x * x for x in row.values())
         bound *= r + (math.isqrt(s - 1) + 1 if s else 0)  # r_i + ceil(||N_i||_2)
+    N = Matrix._from_rows(N, n, True).data
     # ascending coefficients of R * det(z*I - M), modulo the product of the primes so far
     residues = None
     modulus = 1
@@ -566,11 +578,7 @@ def pseudodet(M):
     eigenvalue routes independent of the determinant routes they are checked
     against.
     """
-    cp = char_poly(M)
-    for c in cp.coeffs:
-        if c != 0:
-            return abs(c)
-    raise AssertionError("monic polynomial cannot be zero")
+    return abs(char_poly(M).strip_zero_roots()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -659,11 +667,7 @@ def invariant_factors(M):
 
 def torsion_order(M):
     """Product of the invariant factors exceeding 1."""
-    out = 1
-    for f in invariant_factors(M):
-        if f > 1:
-            out *= f
-    return out
+    return math.prod(invariant_factors(M))
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +731,12 @@ def kernel_lattice_basis(M):
     rows of U whose image vanishes lie in ker M, and as rows of a unimodular
     matrix they span a saturated lattice of full rank in it.
     """
-    rows, _ = _integer_rows(M)
     m, n = M.shape
-    h, r = _row_hermite([[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)], m)
+    lines = [[0] * m + [int(i == j) for i in range(n)] for j in range(n)]
+    for i, row in enumerate(_sparse_rows(M)):
+        for j, x in row.items():
+            lines[j][i] = x
+    h, r = _row_hermite(lines, m)
     return Matrix.from_columns([row[m:] for row in h[r:]], nrows=n)
 
 
@@ -748,11 +755,7 @@ def solve_matrix(A, B):
            for row_a, row_b in zip(A.data, B.data)]
     r = 0
     for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if aug[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if aug[i][c]), None)
         if piv is None:
             raise ValueError("coefficient matrix does not have full column rank")
         aug[r], aug[piv] = aug[piv], aug[r]
@@ -793,9 +796,4 @@ def lattice_quotient_order(K, S):
     if not coords.is_integral:
         raise ValueError("generators do not lie in the lattice")
     factors = invariant_factors(coords)
-    if len(factors) < nk:
-        return None
-    out = 1
-    for f in factors:
-        out *= f
-    return out
+    return math.prod(factors) if len(factors) == nk else None

@@ -22,8 +22,8 @@ from cellforest.linalg import (
     lattice_quotient_order,
     rank,
     saturation_basis,
+    _canon as _canon_entry,
     _hessenberg_char_poly_mod,
-    _integer_rows,
     _prime,
     _sparse_columns,
     solve_matrix,
@@ -628,3 +628,167 @@ def cobases_by_combinations(X, k, cap=None):
         if rank(bt.submatrix(range(bt.nrows), rows)) == r:
             out.append(rows)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# dense matrix storage
+# ---------------------------------------------------------------------------
+
+
+def _integer_rows(M):
+    """``linalg._integer_rows`` when it returned dense rows: each row scaled by
+    its denominator lcm; returns (rows, per-row scalars).
+
+    Row scaling preserves rank and kernel, and multiplies the determinant by
+    the product of the scalars.
+    """
+    rows = []
+    scalars = []
+    for row in M.data:
+        s = 1
+        for x in row:
+            if isinstance(x, Fraction):
+                s = s * x.denominator // math.gcd(s, x.denominator)
+        rows.append([int(x * s) for x in row])
+        scalars.append(s)
+    return rows, scalars
+
+
+class DenseMatrix:
+    """``linalg.Matrix`` when it stored every entry in dense row tuples."""
+
+    __slots__ = ("nrows", "ncols", "data")
+
+    def __init__(self, rows, ncols=None):
+        data = tuple(tuple(_canon_entry(x) for x in row) for row in rows)
+        if data:
+            width = len(data[0])
+            if any(len(r) != width for r in data):
+                raise ValueError("ragged rows")
+            if ncols is not None and ncols != width:
+                raise ValueError("ncols does not match row width")
+            ncols = width
+        elif ncols is None:
+            raise ValueError("a matrix with no rows needs an explicit ncols")
+        self.data = data
+        self.nrows = len(data)
+        self.ncols = ncols
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def identity(cls, n):
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), ncols=n)
+
+    @classmethod
+    def zeros(cls, nrows, ncols):
+        return cls(tuple((0,) * ncols for _ in range(nrows)), ncols=ncols)
+
+    @classmethod
+    def from_columns(cls, cols, nrows=None):
+        cols = tuple(tuple(c) for c in cols)
+        if cols:
+            nrows = len(cols[0])
+        elif nrows is None:
+            raise ValueError("a matrix with no columns needs an explicit nrows")
+        return cls(tuple(tuple(c[i] for c in cols) for i in range(nrows)), ncols=len(cols))
+
+    @classmethod
+    def diagonal(cls, entries, nrows=None, ncols=None):
+        entries = tuple(entries)
+        n = len(entries)
+        nrows = n if nrows is None else nrows
+        ncols = n if ncols is None else ncols
+        return cls(
+            tuple(
+                tuple(entries[i] if i == j and i < n else 0 for j in range(ncols))
+                for i in range(nrows)
+            ),
+            ncols=ncols,
+        )
+
+    # -- accessors --------------------------------------------------------
+
+    @property
+    def shape(self):
+        return (self.nrows, self.ncols)
+
+    @property
+    def is_square(self):
+        return self.nrows == self.ncols
+
+    @property
+    def is_integral(self):
+        return all(isinstance(x, int) for row in self.data for x in row)
+
+    def __getitem__(self, key):
+        i, j = key
+        return self.data[i][j]
+
+    def row(self, i):
+        return self.data[i]
+
+    def column(self, j):
+        return tuple(row[j] for row in self.data)
+
+    def columns(self):
+        return tuple(zip(*self.data)) if self.nrows else ((),) * self.ncols
+
+    def submatrix(self, rows, cols):
+        rows = tuple(rows)
+        cols = tuple(cols)
+        return DenseMatrix(tuple(tuple(self.data[i][j] for j in cols) for i in rows), ncols=len(cols))
+
+    def transpose(self):
+        return DenseMatrix(self.columns(), ncols=self.nrows)
+
+    # -- arithmetic -------------------------------------------------------
+
+    def __mul__(self, other):
+        if isinstance(other, DenseMatrix):
+            if self.ncols != other.nrows:
+                raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
+            # each row of the product adds a * (row k of other) over the nonzero a = self[i, k]
+            n = other.ncols
+            brows = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
+            out = []
+            for row in self.data:
+                acc = [0] * n
+                for a, brow in zip(row, brows):
+                    if a:
+                        for j, x in brow:
+                            acc[j] += a * x
+                out.append(acc)
+            return DenseMatrix(out, ncols=n)
+        return self.scale(other)
+
+    def scale(self, s):
+        s = _canon_entry(s)
+        return DenseMatrix(tuple(tuple(s * x for x in row) for row in self.data), ncols=self.ncols)
+
+    def __add__(self, other):
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
+        return DenseMatrix(
+            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
+            ncols=self.ncols,
+        )
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    @property
+    def is_zero(self):
+        return all(x == 0 for row in self.data for x in row)
+
+    def __eq__(self, other):
+        return isinstance(other, DenseMatrix) and self.shape == other.shape and self.data == other.data
+
+    def __hash__(self):
+        return hash((self.nrows, self.ncols, self.data))
+
+    def __repr__(self):
+        return f"DenseMatrix({self.nrows}x{self.ncols})"

@@ -262,6 +262,41 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(bad) in err and "set_int_max_str_digits" not in err
 
+    @pytest.mark.parametrize("text, bad", [
+        ("dim 1\nfacets 1\n1 2_0\n", "1 2_0"),
+        ("dim 1\nfacets 1\n1 \u0663\n", "1 \u0663"),
+        ("dim 1\nmatrix 1 1 1\n\u0663\n", "\u0663"),
+    ])
+    def test_integer_token_outside_the_format_exit_code(self, tmp_path, capsys, text, bad):
+        # int() alone reads 2_0 as 20 and the Arabic-Indic digit three as 3
+        path = tmp_path / "c.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["homology", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: expected integers: {bad!r}\n"
+
+    def test_signed_integer_tokens_stay_legal(self):
+        assert cfio.parse_any("dim +1\nfacets +1\n+1 +3\n").facets == {frozenset({1, 3})}
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_facet_count_below_one_exit_code(self, tmp_path, capsys, count):
+        path = tmp_path / "c.txt"
+        path.write_text(f"dim 1\nfacets {count}\n")
+        assert main(["homology", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: facet count must be at least 1: 'facets {count}'\n"
+
+    def test_homology_rejects_a_negative_betti_number(self, tmp_path, capsys):
+        # one vertex and one edge with boundary 1: rank d_1 = 1 exceeds nullity d_0 = 0,
+        # which matrix-form input reaches because its augmentation is not checked
+        path = tmp_path / "c.txt"
+        path.write_text("dim 1\nmatrix 1 1 1\n1\n")
+        assert main(["homology", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: d_0 d_1 != 0 at level 0 "
+            "(formal duals and matrix-form input skip the augmentation check)\n"
+        )
+
     @pytest.mark.parametrize("method", ["weighted-alternating", "algebraic-weighted", "bruteforce"])
     def test_missing_weight_exit_code(self, tmp_path, capsys, method):
         cpath = tmp_path / "k42.txt"
