@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import io as cfio
-from .complexes import skeleton
+from .complexes import require_boundary_composition, skeleton
 from .critical import critical_group, critical_group_reduced, sequence_order_check
 from .families import (
     complete_colorful,
@@ -107,7 +107,7 @@ def cmd_tau(args):
             with open(args.census, "w") as fh:
                 fh.write(cfio.serialize_census(X, census))
     else:
-        report = tau(X, k, args.method, weights=weights)
+        report = tau(X, k, args.method, weights=weights, cap=args.cap)
         body = report.render() + "\n"
     body += f"seed: {args.seed if args.seed is not None else '-'}\ncap: {args.cap if args.cap is not None else DEFAULT_CAP}\n"
     _emit(body, args.out)
@@ -120,12 +120,7 @@ def cmd_homology(args):
     lines = [f"dim {X.dim}"]
     for k in ks:
         h = homology(X, k)
-        if h.betti < 0:
-            # rank d_{k+1} exceeds nullity d_k only where d_k d_{k+1} != 0
-            raise ValueError(
-                f"d_{k} d_{k + 1} != 0 at level {k} "
-                "(formal duals and matrix-form input skip the augmentation check)"
-            )
+        require_boundary_composition(X, k)
         factors = ",".join(str(f) for f in h.torsion_factors) or "-"
         lines.append(f"k={k} betti={h.betti} torsion={h.torsion_order} factors={factors}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -134,6 +129,8 @@ def cmd_homology(args):
 
 def cmd_critical(args):
     X = _load_complex(args.file)
+    if X.dim < 1:
+        raise ValueError(f"critical groups need dimension at least 1, got dimension {X.dim}")
     ks = [args.k] if args.k is not None else list(range(X.dim))
     lines = [f"dim {X.dim}"]
     for k in ks:

@@ -92,6 +92,16 @@ def boundary_matrix(X, k):
     return X.boundaries[k]
 
 
+def require_boundary_composition(X, k):
+    """Raise ``ValueError`` unless d_k d_{k+1} = 0, which the formal duals and
+    matrix-form input never check at k = 0 (the augmentation)."""
+    if k < X.dim and not (boundary_matrix(X, k) * boundary_matrix(X, k + 1)).is_zero:
+        raise ValueError(
+            f"d_{k} d_{k + 1} != 0 at level {k} "
+            "(formal duals and matrix-form input skip the augmentation check)"
+        )
+
+
 def laplacian(X, k, kind="ud"):
     """Combinatorial Laplacian of the requested kind at dimension k.
 
@@ -254,6 +264,27 @@ def skeleton(X, k):
     if not 0 <= k <= X.dim:
         raise ValueError(f"skeleton index {k} out of range")
     return ChainComplex(X.cells[: k + 1], X.boundaries[: k + 1])
+
+
+def vertex_components(n, edges):
+    """Connected components of the graph on vertices 0..n-1 with the given
+    edges (vertex pairs), by union-find: vertex tuples, by least vertex."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, w in edges:
+        ru, rw = find(u), find(w)
+        if ru != rw:
+            parent[rw] = ru
+    comps = {}
+    for v in range(n):
+        comps.setdefault(find(v), []).append(v)
+    return tuple(map(tuple, comps.values()))
 
 
 def dual_complex(X):

@@ -13,13 +13,13 @@ force exactly this extension.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb, prod
 
 from .linalg import Matrix
-from .complexes import ChainComplex, WeightAssignment, from_facets, is_shifted
+from .complexes import ChainComplex, WeightAssignment, from_facets, is_shifted, vertex_components
 
 
 def binom_ext(a, b):
@@ -366,10 +366,10 @@ def ferrers_vertex_weighting(G, parts, x, y):
 class Matroid:
     """A matroid given by its ground size and a rank oracle on index sets."""
 
-    def __init__(self, size, rank_fn, _cache=None):
+    def __init__(self, size, rank_fn):
         self.size = size
         self._rank_fn = rank_fn
-        self._cache = {} if _cache is None else _cache
+        self._cache = {}
 
     def ground(self):
         return frozenset(range(self.size))
@@ -394,28 +394,13 @@ class Matroid:
 
 
 def graphic_matroid(n_vertices, edges):
-    """Graphic matroid of an edge list on vertices 1..n (loops allowed)."""
+    """Graphic matroid of an edge list on vertices 1..n (loops allowed).
+
+    An edge set has rank the number of vertices minus its number of components.
+    """
     edges = [tuple(e) for e in edges]
-
-    def rank_fn(subset):
-        parent = list(range(n_vertices + 1))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        r = 0
-        for idx in subset:
-            u, w = edges[idx]
-            ru, rw = find(u), find(w)
-            if ru != rw:
-                parent[rw] = ru
-                r += 1
-        return r
-
-    return Matroid(len(edges), rank_fn)
+    n = n_vertices + 1  # vertex 0 is unused and stays a component of its own
+    return Matroid(len(edges), lambda subset: n - len(vertex_components(n, [edges[i] for i in subset])))
 
 
 def uniform_matroid(r, n):
@@ -434,35 +419,29 @@ def matroid_complex(M):
     return from_facets(M.size, bases)
 
 
+def _subsets(M):
+    """Every subset of the ground set, by size, each in lexicographic order."""
+    ground = sorted(M.ground())
+    return chain.from_iterable(combinations(ground, m) for m in range(len(ground) + 1))
+
+
 def tutte_polynomial(M):
-    """Tutte polynomial by deletion-contraction, as {(i, j): coeff} for x^i y^j."""
+    """Tutte polynomial as {(i, j): coeff} for x^i y^j, from its rank sum
+    T = sum over subsets A of (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A))."""
     if M.size > 10:
         raise ValueError("Tutte polynomial capped at 10 ground elements")
-
-    @lru_cache(maxsize=None)
-    def rec(remaining, contracted):
-        if not remaining:
-            return ((0, 0, 1),)
-        e = min(remaining)
-        rest = remaining - {e}
-        base = M.rank(contracted)
-        is_loop = M.rank(contracted | {e}) == base
-        full_rank = M.rank(remaining | contracted) - base
-        rest_rank = M.rank(rest | contracted) - base
-        is_coloop = not is_loop and rest_rank == full_rank - 1
-        if is_loop:
-            return tuple((i, j + 1, c) for i, j, c in rec(rest, contracted))
-        if is_coloop:
-            return tuple((i + 1, j, c) for i, j, c in rec(rest, contracted | {e}))
-        out = {}
-        for i, j, c in rec(rest, contracted):
-            out[(i, j)] = out.get((i, j), 0) + c
-        for i, j, c in rec(rest, contracted | {e}):
-            out[(i, j)] = out.get((i, j), 0) + c
-        return tuple((i, j, c) for (i, j), c in sorted(out.items()))
-
-    terms = rec(M.ground(), frozenset())
-    return {(i, j): c for i, j, c in terms}
+    top = M.rank(M.ground())
+    # the number of subsets A with each pair of exponents (r(E)-r(A), |A|-r(A))
+    counts = Counter()
+    for A in _subsets(M):
+        r = M.rank(A)
+        counts[top - r, len(A) - r] += 1
+    T = Counter()
+    for (a, b), n in counts.items():
+        for i in range(a + 1):
+            for j in range(b + 1):
+                T[i, j] += (-1) ** (a + b - i - j) * n * comb(a, i) * comb(b, j)
+    return {key: c for key, c in sorted(T.items()) if c}
 
 
 def tutte_eval(T, x, y):
@@ -471,21 +450,12 @@ def tutte_eval(T, x, y):
 
 def crapo_beta(M):
     """Crapo beta invariant: (-1)^r(E) sum_A (-1)^|A| r(A)."""
-    total = 0
-    ground = sorted(M.ground())
-    for m in range(len(ground) + 1):
-        for A in combinations(ground, m):
-            total += (-1) ** m * M.rank(A)
-    return (-1) ** M.rank(M.ground()) * total
+    return (-1) ** M.rank(M.ground()) * sum((-1) ** len(A) * M.rank(A) for A in _subsets(M))
 
 
 def matroid_flats(M):
     """All flats (closed sets), by closure of every subset."""
-    flats = set()
-    ground = sorted(M.ground())
-    for m in range(len(ground) + 1):
-        for A in combinations(ground, m):
-            flats.add(M.closure(A))
+    flats = {M.closure(A) for A in _subsets(M)}
     return tuple(sorted(flats, key=lambda f: (len(f), sorted(f))))
 
 

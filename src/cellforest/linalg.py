@@ -23,7 +23,8 @@ entries that record the transform.  The Smith form alternates row and column
 Hermite passes until the matrix is diagonal (Kannan-Bachem, SIAM J. Comput.
 1979).  Reducing the entries above each pivot keeps them small: on the
 80x80 L_1 of the 5-cube no entry exceeds 9 bits, or 82 with both transforms.
-An integer kernel is one Hermite pass of [M^T | I].
+An integer kernel is one Hermite pass of [M^T | I], and exact solves read
+their solutions off kernels: no rational Gauss-Jordan loop remains.
 
 The characteristic polynomial is multimodular: Hessenberg reduction modulo
 primes of 62 bits, each proven prime by deterministic Miller-Rabin, with the
@@ -747,30 +748,25 @@ def saturation_basis(M):
 
 
 def solve_matrix(A, B):
-    """Solve A*X = B exactly; A must have full column rank and the system be consistent."""
+    """Solve A*X = B exactly; A must have full column rank and the system be consistent.
+
+    Column j of X comes from the integer kernel of [A | B_j]: with A of full
+    column rank that kernel has rank at most 1, and a basis vector (v, t) has
+    t != 0 and gives A*(-v/t) = B_j.  An empty kernel means no solution.
+    """
     if A.nrows != B.nrows:
         raise ValueError("row mismatch in solve")
-    m, n = A.shape
-    aug = [[Fraction(x) for x in row_a] + [Fraction(x) for x in row_b]
-           for row_a, row_b in zip(A.data, B.data)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("coefficient matrix does not have full column rank")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    for i in range(r, m):
-        if any(aug[i][n:]):
+    n = A.ncols
+    if rank(A) < n:
+        raise ValueError("coefficient matrix does not have full column rank")
+    cols = []
+    for b in B.columns():
+        K = kernel_lattice_basis(Matrix([(*a, x) for a, x in zip(A.data, b)], ncols=n + 1))
+        if not K.ncols:
             raise ValueError("inconsistent linear system")
-    X = [[_canon(aug[i][n + j]) for j in range(B.ncols)] for i in range(n)]
-    return Matrix(X, ncols=B.ncols)
+        *v, t = K.column(0)
+        cols.append([Fraction(-x, t) for x in v])
+    return Matrix.from_columns(cols, nrows=n)
 
 
 def covolume_squared(A):

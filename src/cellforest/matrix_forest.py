@@ -34,6 +34,7 @@ from fractions import Fraction
 from math import prod
 
 from .linalg import (
+    _sparse_columns,
     char_poly,
     column_lattice_basis,
     covolume_squared,
@@ -47,6 +48,7 @@ from .complexes import (
     boundary_matrix,
     laplacian,
     skeleton,
+    vertex_components,
     weighted_laplacian,
     weighted_laplacian_similar,
 )
@@ -416,26 +418,8 @@ def graph_components(X):
     """Vertex index sets of the connected components of a 1-complex."""
     if X.dim != 1:
         raise ValueError("component analysis applies to 1-dimensional complexes")
-    n = X.n_cells(0)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    b = boundary_matrix(X, 1)
-    for j in range(b.ncols):
-        ends = [i for i in range(n) if b[i, j] != 0]
-        if len(ends) == 2:
-            ra, rb = find(ends[0]), find(ends[1])
-            if ra != rb:
-                parent[rb] = ra
-    comps = {}
-    for v in range(n):
-        comps.setdefault(find(v), []).append(v)
-    return tuple(tuple(c) for c in sorted(comps.values()))
+    ends = [tuple(col) for col in _sparse_columns(boundary_matrix(X, 1))]
+    return vertex_components(X.n_cells(0), [e for e in ends if len(e) == 2])
 
 
 def graph_matrix_tree(G):
@@ -470,23 +454,26 @@ def graph_matrix_tree(G):
     )
 
 
+# each route takes (complex, weights, enumeration cap); `verify` reports the
+# unweighted ones in this order
 METHODS = {
-    "reduced": lambda X, w: tau_reduced(X, weights=w),
-    "pseudodet": lambda X, w: tau_pseudodet(X, weights=w),
-    "alternating": lambda X, w: tau_alternating(X),
-    "covolume": lambda X, w: tau_covolume(X, weights=w),
-    "cobase": lambda X, w: tau_cobase(X),
-    "cobase-spectral": lambda X, w: tau_cobase_spectral(X),
-    "algebraic-weighted": lambda X, w: tau_algebraic_weighted(X, w),
-    "weighted-alternating": lambda X, w: tau_weighted_alternating(X, w),
+    "reduced": lambda X, w, cap: tau_reduced(X, weights=w),
+    "pseudodet": lambda X, w, cap: tau_pseudodet(X, weights=w),
+    "alternating": lambda X, w, cap: tau_alternating(X),
+    "covolume": lambda X, w, cap: tau_covolume(X, weights=w),
+    "cobase": lambda X, w, cap: tau_cobase(X),
+    "cobase-spectral": lambda X, w, cap: tau_cobase_spectral(X, cap=cap),
+    "algebraic-weighted": lambda X, w, cap: tau_algebraic_weighted(X, w),
+    "weighted-alternating": lambda X, w, cap: tau_weighted_alternating(X, w),
 }
 
 WEIGHT_REQUIRED = {"algebraic-weighted", "weighted-alternating"}
 UNWEIGHTED_ONLY = {"alternating", "cobase", "cobase-spectral"}
 
 
-def tau(X, k, method, weights=None):
-    """Count forests at dimension k by the named method (on the k-skeleton)."""
+def tau(X, k, method, weights=None, cap=None):
+    """Count forests at dimension k by the named method (on the k-skeleton);
+    ``cap`` bounds the cobase enumeration of ``cobase-spectral``."""
     d = X.dim
     if not 1 <= k <= d:
         raise ValueError(f"tau dimension {k} out of range 1..{d}")
@@ -497,4 +484,4 @@ def tau(X, k, method, weights=None):
     if method in UNWEIGHTED_ONLY and weights is not None:
         raise ValueError(f"method {method!r} is unweighted")
     Xk = X if k == d else skeleton(X, k)
-    return METHODS[method](Xk, weights)
+    return METHODS[method](Xk, weights, cap)

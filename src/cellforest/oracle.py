@@ -35,7 +35,7 @@ from .linalg import (
     rank,
     saturation_basis,
 )
-from .complexes import boundary_matrix
+from .complexes import boundary_matrix, require_boundary_composition
 from .homology import forest_torsion
 
 DEFAULT_CAP = 5_000_000
@@ -295,14 +295,10 @@ def _defect_context(X, k):
     ker d_k and every defect is 1, so no saturation is computed and ``None``
     stands for it.
     """
+    require_boundary_composition(X, k)
     bk = boundary_matrix(X, k)
     nullity = bk.ncols - rank(bk)
     b = boundary_matrix(X, k + 1) if k < X.dim else Matrix.zeros(bk.ncols, 0)
-    if not (bk * b).is_zero:
-        raise ValueError(
-            f"d_{k} d_{k + 1} != 0 at level {k} "
-            "(formal duals and matrix-form input skip the augmentation check)"
-        )
     if rank(b) == nullity:
         return bk, nullity, None
     return bk, nullity, saturation_basis(b)

@@ -34,15 +34,12 @@ from .families import (
     uniform_matroid,
 )
 from .matrix_forest import (
+    METHODS,
+    WEIGHT_REQUIRED,
     HypothesisError,
     format_exact,
     graph_matrix_tree,
     tau_alternating,
-    tau_cobase,
-    tau_cobase_spectral,
-    tau_covolume,
-    tau_pseudodet,
-    tau_reduced,
 )
 from .oracle import CapExceeded, tau_bruteforce, tau_weighted_bruteforce
 
@@ -81,16 +78,11 @@ def sample_fractions(rng, count):
 
 
 def _methods_vs_reference(rows, suite, name, X, reference, cap):
-    for label, fn in (
-        ("reduced", tau_reduced),
-        ("pseudodet", tau_pseudodet),
-        ("alternating", tau_alternating),
-        ("covolume", tau_covolume),
-        ("cobase", tau_cobase),
-        ("cobase-spectral", tau_cobase_spectral),
-    ):
+    for label, fn in METHODS.items():
+        if label in WEIGHT_REQUIRED:
+            continue
         try:
-            _record(rows, suite, name, label, fn(X).value, reference)
+            _record(rows, suite, name, label, fn(X, None, cap).value, reference)
         except HypothesisError as exc:
             _skip(rows, suite, name, label, f"hypothesis: {exc}")
         except CapExceeded:

@@ -7,6 +7,7 @@ it on a seeded corpus.  Do not optimise or refactor these.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from cellforest.complexes import boundary_matrix, weighted_laplacian
@@ -792,3 +793,66 @@ class DenseMatrix:
 
     def __repr__(self):
         return f"DenseMatrix({self.nrows}x{self.ncols})"
+
+
+# ---------------------------------------------------------------------------
+# the rational Gauss-Jordan solve and the deletion-contraction Tutte polynomial
+# ---------------------------------------------------------------------------
+
+
+def solve_by_gauss_jordan(A, B):
+    """``linalg.solve_matrix`` as a rational Gauss-Jordan loop over [A | B]."""
+    if A.nrows != B.nrows:
+        raise ValueError("row mismatch in solve")
+    m, n = A.shape
+    aug = [[Fraction(x) for x in row_a] + [Fraction(x) for x in row_b]
+           for row_a, row_b in zip(A.data, B.data)]
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if aug[i][c]), None)
+        if piv is None:
+            raise ValueError("coefficient matrix does not have full column rank")
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        r += 1
+    for i in range(r, m):
+        if any(aug[i][n:]):
+            raise ValueError("inconsistent linear system")
+    X = [[_canon(aug[i][n + j]) for j in range(B.ncols)] for i in range(n)]
+    return Matrix(X, ncols=B.ncols)
+
+
+def tutte_by_deletion_contraction(M):
+    """``families.tutte_polynomial`` by deletion-contraction, as {(i, j): coeff} for x^i y^j."""
+    if M.size > 10:
+        raise ValueError("Tutte polynomial capped at 10 ground elements")
+
+    @lru_cache(maxsize=None)
+    def rec(remaining, contracted):
+        if not remaining:
+            return ((0, 0, 1),)
+        e = min(remaining)
+        rest = remaining - {e}
+        base = M.rank(contracted)
+        is_loop = M.rank(contracted | {e}) == base
+        full_rank = M.rank(remaining | contracted) - base
+        rest_rank = M.rank(rest | contracted) - base
+        is_coloop = not is_loop and rest_rank == full_rank - 1
+        if is_loop:
+            return tuple((i, j + 1, c) for i, j, c in rec(rest, contracted))
+        if is_coloop:
+            return tuple((i + 1, j, c) for i, j, c in rec(rest, contracted | {e}))
+        out = {}
+        for i, j, c in rec(rest, contracted):
+            out[(i, j)] = out.get((i, j), 0) + c
+        for i, j, c in rec(rest, contracted | {e}):
+            out[(i, j)] = out.get((i, j), 0) + c
+        return tuple((i, j, c) for (i, j), c in sorted(out.items()))
+
+    terms = rec(M.ground(), frozenset())
+    return {(i, j): c for i, j, c in terms}

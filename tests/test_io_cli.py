@@ -154,6 +154,53 @@ class TestCli:
         code = main(["tau", str(path), "--method", "bruteforce", "--cap", "10"])
         assert code == 3
 
+    def test_cap_reaches_the_cobase_spectral_enumeration(self, tmp_path, capsys):
+        path = tmp_path / "rp2.txt"
+        main(["gen", "named", "rp2_six_vertex", "--out", str(path)])
+        capsys.readouterr()
+        assert main(["tau", str(path), "--method", "cobase-spectral", "--cap", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cap exceeded: cobase enumeration at k=1 needs 3003 subsets, cap is 1\n"
+        assert main(["tau", str(path), "--method", "cobase-spectral", "--cap", "3003"]) == 0
+        out = capsys.readouterr().out
+        assert "value: 4\n" in out and out.endswith("cap: 3003\n")
+
+    def test_verify_cap_reaches_the_cobase_spectral_rows(self):
+        from cellforest.verify import run_suite
+
+        def row(cap):
+            (r,) = [r for r in run_suite("theorems", cap=cap)
+                    if r.instance == "rp2-six-vertex" and r.check == "cobase-spectral"]
+            return r.got, r.want
+
+        assert row(None) == ("4", "4")
+        assert row(1000) == ("skipped", "cap exceeded")
+
+    def test_homology_checks_the_composition_at_each_level(self, tmp_path, capsys):
+        from cellforest.complexes import dual_complex
+
+        # the formal dual's vertex layer has no augmentation, and d_0 d_1 != 0 there
+        path = tmp_path / "dual.txt"
+        path.write_text(cfio.serialize_complex(dual_complex(named_complex("bipyramid"))))
+        assert main(["homology", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: d_0 d_1 != 0 at level 0 "
+            "(formal duals and matrix-form input skip the augmentation check)\n"
+        )
+        assert main(["homology", str(path), "--k", "1"]) == 0
+        assert capsys.readouterr().out.startswith("dim 2\nk=1 betti=")
+
+    def test_critical_refuses_dimension_zero(self, tmp_path, capsys):
+        path = tmp_path / "points.txt"
+        main(["gen", "simplex-skeleton", "4", "0", "--out", str(path)])
+        assert main(["critical", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: critical groups need dimension at least 1, got dimension 0\n"
+
     def test_gen_hypercube_block_sizes(self, capsys):
         assert main(["gen", "hypercube", "3"]) == 0
         out = capsys.readouterr().out

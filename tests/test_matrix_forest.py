@@ -279,7 +279,7 @@ class TestCrossMethodAgreement:
             want = tau_bruteforce(X)
             for name in ("reduced", "pseudodet", "alternating", "covolume", "cobase", "cobase-spectral"):
                 try:
-                    got = METHODS[name](X, None).value
+                    got = METHODS[name](X, None, None).value
                 except HypothesisError:
                     continue
                 assert got == want, (name, want, got)
