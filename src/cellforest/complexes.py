@@ -93,9 +93,9 @@ def boundary_matrix(X, k):
 
 
 def require_boundary_composition(X, k):
-    """Raise ``ValueError`` unless d_k d_{k+1} = 0, which the formal duals and
-    matrix-form input never check at k = 0 (the augmentation)."""
-    if k < X.dim and not (boundary_matrix(X, k) * boundary_matrix(X, k + 1)).is_zero:
+    """Raise ``ValueError`` if k = 0 and d_0 d_1 != 0: ``ChainComplex.create`` checks
+    every k >= 1, but formal duals and matrix-form input skip the augmentation."""
+    if k == 0 and X.dim >= 1 and not (boundary_matrix(X, 0) * boundary_matrix(X, 1)).is_zero:
         raise ValueError(
             f"d_{k} d_{k + 1} != 0 at level {k} "
             "(formal duals and matrix-form input skip the augmentation check)"

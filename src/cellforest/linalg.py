@@ -759,9 +759,10 @@ def solve_matrix(A, B):
     n = A.ncols
     if rank(A) < n:
         raise ValueError("coefficient matrix does not have full column rank")
+    rows = A.data
     cols = []
     for b in B.columns():
-        K = kernel_lattice_basis(Matrix([(*a, x) for a, x in zip(A.data, b)], ncols=n + 1))
+        K = kernel_lattice_basis(Matrix([(*a, x) for a, x in zip(rows, b)], ncols=n + 1))
         if not K.ncols:
             raise ValueError("inconsistent linear system")
         *v, t = K.column(0)

@@ -20,14 +20,12 @@ from cellforest.linalg import (
     det,
     invariant_factors,
     kernel_lattice_basis,
-    lattice_quotient_order,
     rank,
     saturation_basis,
     _canon as _canon_entry,
     _hessenberg_char_poly_mod,
     _prime,
     _sparse_columns,
-    solve_matrix,
 )
 from cellforest.matrix_forest import TauReport, _exactify, _require, format_exact
 from cellforest.oracle import ForestCensus, RootedForest, _check_cap
@@ -371,7 +369,7 @@ def tau_covolume_by_solve(X, weights=None):
     if basis.ncols == 0:
         return TauReport(method="covolume", k=d, value=1, details=(("rank", "0"),))
     L = dense_laplacian(X, d - 1, "ud") if weights is None else weighted_laplacian(X, d, weights)
-    action = solve_matrix(basis, L * basis)
+    action = solve_by_gauss_jordan(basis, L * basis)
     det_action = det(action)
     covol2 = covolume_squared(basis)
     t_x = torsion(X, d - 1)
@@ -397,7 +395,7 @@ def defect_context_by_quotient(X, k):
 
 
 def kernel_defect_by_quotient(bk, ker, sat, cobase):
-    """``oracle._kernel_defect`` through ``lattice_quotient_order`` (a rational solve)."""
+    """``oracle._kernel_defect`` through ``lattice_quotient_order_by_gauss_jordan``."""
     if ker.ncols == 0:
         return 1
     outside = sorted(set(range(bk.ncols)) - set(cobase))
@@ -412,7 +410,7 @@ def kernel_defect_by_quotient(bk, ker, sat, cobase):
         + [tuple(row[j] for row in lifted) for j in range(ker_sub.ncols)],
         nrows=bk.ncols,
     )
-    order = lattice_quotient_order(ker, gens)
+    order = lattice_quotient_order_by_gauss_jordan(ker, gens)
     if order is None:
         raise ValueError("cobase does not span: infinite defect")
     return order
@@ -427,7 +425,7 @@ def circuits_by_solve(X, tree):
     circuits = {}
     for j in (j for j in range(n) if j not in set(tree)):
         target = Matrix.from_columns([b.column(j)], nrows=b.nrows)
-        coords = solve_matrix(tree_cols, target)
+        coords = solve_by_gauss_jordan(tree_cols, target)
         denom = 1
         for i in range(len(tree)):
             c = Fraction(coords[i, 0])
@@ -825,6 +823,20 @@ def solve_by_gauss_jordan(A, B):
             raise ValueError("inconsistent linear system")
     X = [[_canon(aug[i][n + j]) for j in range(B.ncols)] for i in range(n)]
     return Matrix(X, ncols=B.ncols)
+
+
+def lattice_quotient_order_by_gauss_jordan(K, S):
+    """``linalg.lattice_quotient_order`` with its coordinates from ``solve_by_gauss_jordan``."""
+    nk = K.ncols
+    if nk == 0:
+        return 1 if S.ncols == 0 or S.is_zero else None
+    if S.ncols == 0:
+        return None
+    coords = solve_by_gauss_jordan(K, S)
+    if not coords.is_integral:
+        raise ValueError("generators do not lie in the lattice")
+    factors = invariant_factors(coords)
+    return math.prod(factors) if len(factors) == nk else None
 
 
 def tutte_by_deletion_contraction(M):

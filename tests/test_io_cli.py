@@ -177,7 +177,7 @@ class TestCli:
         assert row(None) == ("4", "4")
         assert row(1000) == ("skipped", "cap exceeded")
 
-    def test_homology_checks_the_composition_at_each_level(self, tmp_path, capsys):
+    def test_homology_checks_the_augmentation_composition(self, tmp_path, capsys):
         from cellforest.complexes import dual_complex
 
         # the formal dual's vertex layer has no augmentation, and d_0 d_1 != 0 there

@@ -8,10 +8,14 @@ from itertools import combinations
 
 from cellforest.complexes import from_facets
 from cellforest.families import graphic_matroid, tutte_polynomial, uniform_matroid
-from cellforest.linalg import Matrix, rank, solve_matrix
+from cellforest.linalg import Matrix, lattice_quotient_order, rank, solve_matrix
 from cellforest.matrix_forest import graph_components
 
-from frozen import solve_by_gauss_jordan, tutte_by_deletion_contraction
+from frozen import (
+    lattice_quotient_order_by_gauss_jordan,
+    solve_by_gauss_jordan,
+    tutte_by_deletion_contraction,
+)
 
 
 def _entry(rng):
@@ -80,6 +84,33 @@ def test_kernel_solve_matches_gauss_jordan_loop():
         "inconsistent linear system",
     }
     assert min(seen.values()) >= 100
+
+
+def _quotient_outcome(order, K, S):
+    try:
+        return ("order", order(K, S))
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+def test_lattice_quotient_order_matches_gauss_jordan_loop():
+    rng = random.Random(3)
+    seen = set()
+    for i in range(400):
+        m, nk, ns = rng.randint(1, 5), rng.randint(0, 3), rng.randint(0, 4)
+        nk = min(nk, m)
+        K = Matrix([[rng.randint(-3, 3) for _ in range(nk)] for _ in range(m)], ncols=nk)
+        if rank(K) < nk:
+            K = Matrix.identity(m).submatrix(range(m), range(nk))
+        C = Matrix([[rng.randint(-3, 3) for _ in range(ns)] for _ in range(nk)], ncols=ns)
+        S = K * C
+        if i % 4 == 3 and nk and ns:
+            # half-integer coordinates: the generators leave the lattice
+            S = K * C.scale(Fraction(1, 2))
+        want = _quotient_outcome(lattice_quotient_order_by_gauss_jordan, K, S)
+        assert _quotient_outcome(lattice_quotient_order, K, S) == want, (K.data, S.data)
+        seen.add(want[1] if want[0] == "raised" else type(want[1]).__name__)
+    assert seen == {"int", "NoneType", "generators do not lie in the lattice"}
 
 
 def _random_multigraph(rng):
