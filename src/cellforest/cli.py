@@ -33,7 +33,7 @@ from .matrix_forest import (
     tau,
 )
 from .oracle import DEFAULT_CAP, CapExceeded, enumerate_forests
-from .verify import DEFAULT_SEED, render_records, run_suite
+from .verify import DEFAULT_SEED, SUITES, render_records, run_suite
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -220,7 +220,7 @@ def build_parser():
     p_poly.set_defaults(fn=cmd_rooted_poly)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", choices=["families", "theorems", "critical", "duality", "all"])
+    p_ver.add_argument("suite", choices=[*SUITES, "all"])
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--cap", type=int, default=None)
     p_ver.add_argument("--out", default=None)

@@ -244,6 +244,24 @@ def weighted_laplacian_similar(X, k, w):
     return Matrix._from_rows(rows, len(G))
 
 
+def split_cells(X, k, cells):
+    """(chosen, rest): the k-cell indices ``cells`` sorted, and the other
+    k-cells in ascending order.  Every root, cobase and forest selection is
+    split here, so an index outside 0..n-1, or given twice, raises
+    ``ValueError`` naming it."""
+    n = X.n_cells(k)
+    chosen = tuple(sorted(cells))
+    # sorted, so the extremes decide the range
+    for i in chosen[:1] + chosen[-1:]:
+        if not 0 <= i < n:
+            raise ValueError(f"{k}-cell index {i} out of range 0..{n - 1}")
+    taken = set(chosen)
+    if len(taken) < len(chosen):
+        i = next(i for i, j in zip(chosen, chosen[1:]) if i == j)
+        raise ValueError(f"{k}-cell index {i} given twice")
+    return chosen, tuple(i for i in range(n) if i not in taken)
+
+
 def relative_boundary(X, removed_rows, k=None):
     """Top boundary with the rows of the given codim-1 cells removed.
 
@@ -251,19 +269,15 @@ def relative_boundary(X, removed_rows, k=None):
     with column selections for rooted-forest tests.
     """
     k = X.dim if k is None else k
-    b = X.boundaries[k]
-    removed = frozenset(removed_rows)
-    if any(not 0 <= r < b.nrows for r in removed):
-        raise ValueError("row selection out of range")
-    keep = [i for i in range(b.nrows) if i not in removed]
-    return b.submatrix(keep, range(b.ncols))
+    b = boundary_matrix(X, k)
+    return b.submatrix(split_cells(X, k - 1, removed_rows)[1], range(b.ncols))
 
 
 def skeleton(X, k):
-    """The k-skeleton as a chain complex."""
+    """The k-skeleton as a chain complex; the top skeleton is X itself."""
     if not 0 <= k <= X.dim:
         raise ValueError(f"skeleton index {k} out of range")
-    return ChainComplex(X.cells[: k + 1], X.boundaries[: k + 1])
+    return X if k == X.dim else ChainComplex(X.cells[: k + 1], X.boundaries[: k + 1])
 
 
 def vertex_components(n, edges):

@@ -20,29 +20,23 @@ from .linalg import (
     invariant_factors,
     kernel_lattice_basis,
 )
-from .complexes import boundary_matrix, laplacian
-from .homology import torsion
+from .complexes import boundary_matrix, laplacian, split_cells
+from .homology import is_spanning_tree, torsion
 from .oracle import first_torsion_free_forest
 
 
 @dataclass(frozen=True)
 class AbelianGroupStructure:
-    """Invariant factors (each > 1, divisibility chain) plus free rank."""
+    """A finite abelian group by its invariant factors (each > 1, divisibility chain)."""
 
     torsion_factors: tuple
-    free_rank: int = 0
 
     @property
     def order(self):
-        if self.free_rank:
-            return None
-        return prod(self.torsion_factors) if self.torsion_factors else 1
+        return prod(self.torsion_factors)
 
     def __str__(self):
-        parts = [f"Z/{f}" for f in self.torsion_factors]
-        if self.free_rank:
-            parts.append(f"Z^{self.free_rank}")
-        return " x ".join(parts) if parts else "0"
+        return " x ".join(f"Z/{f}" for f in self.torsion_factors) or "0"
 
 
 @dataclass(frozen=True)
@@ -80,11 +74,8 @@ def critical_group_reduced(X, i):
     forest = (0,) if i == 0 else first_torsion_free_forest(X, i)
     if forest is None:
         return None
-    keep = [j for j in range(X.n_cells(i)) if j not in set(forest)]
-    L = laplacian(X, i, "ud")
-    return AbelianGroupStructure(
-        tuple(f for f in invariant_factors(L.submatrix(keep, keep)) if f > 1)
-    )
+    _, keep = split_cells(X, i, forest)
+    return _torsion_structure(laplacian(X, i, "ud").submatrix(keep, keep))
 
 
 def cut_lattice(X, k):
@@ -132,15 +123,13 @@ def fundamental_vectors(X, tree):
     so the bond is read off them.  Returns (bonds, circuits) keyed by facet
     index.
     """
-    from .homology import is_spanning_tree
-
-    tree = tuple(sorted(tree))
+    tree, outside = split_cells(X, X.dim, tree)
     if not is_spanning_tree(X, tree):
         raise ValueError("selection is not a spanning tree")
     b = boundary_matrix(X, X.dim)
     n = b.ncols
     circuits = {}
-    for j in (j for j in range(n) if j not in set(tree)):
+    for j in outside:
         support = tree + (j,)
         # the tree columns are independent and span column j: a rank-1 kernel
         (gen,) = kernel_lattice_basis(b.submatrix(range(b.nrows), support)).columns()

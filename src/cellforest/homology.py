@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .linalg import invariant_factors, rank, torsion_order
-from .complexes import boundary_matrix, relative_boundary
+from .complexes import boundary_matrix, relative_boundary, skeleton, split_cells
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,7 @@ def subcomplex_boundary(X, facet_subset, k=None):
     """Columns of the k-th boundary restricted to a facet subset (k defaults to dim)."""
     k = X.dim if k is None else k
     b = boundary_matrix(X, k)
-    cols = sorted(facet_subset)
-    if any(not 0 <= c < b.ncols for c in cols):
-        raise ValueError("facet index out of range")
-    return b.submatrix(range(b.nrows), cols)
+    return b.submatrix(range(b.nrows), split_cells(X, k, facet_subset)[0])
 
 
 def is_spanning_forest(X, facet_subset, k=None):
@@ -100,15 +97,7 @@ def is_maximal_spanning_forest(X, facet_subset, k=None):
 def is_spanning_tree(X, facet_subset, k=None):
     """Maximal spanning forest of a complex whose codim-1 rational homology vanishes."""
     k = X.dim if k is None else k
-    return betti(skeleton_or_self(X, k), k - 1) == 0 and is_maximal_spanning_forest(
-        X, facet_subset, k
-    )
-
-
-def skeleton_or_self(X, k):
-    from .complexes import skeleton
-
-    return X if k == X.dim else skeleton(X, k)
+    return betti(skeleton(X, k), k - 1) == 0 and is_maximal_spanning_forest(X, facet_subset, k)
 
 
 def forest_torsion(X, facet_subset, k=None):

@@ -40,21 +40,20 @@ from .linalg import (
     covolume_squared,
     det,
     greedy_column_basis,
-    greedy_row_basis,
     pseudodet,
     rank,
+    torsion_order,
 )
 from .complexes import (
     boundary_matrix,
     laplacian,
     skeleton,
+    split_cells,
     vertex_components,
     weighted_laplacian,
     weighted_laplacian_similar,
 )
-from .homology import (
-    betti, forest_torsion, homology, is_maximal_spanning_forest, relative_homology_torsion, torsion
-)
+from .homology import betti, forest_torsion, homology, is_maximal_spanning_forest, torsion
 from .oracle import cobase_defect_enumerator, cobase_kernel_defect, default_cobase
 
 
@@ -115,13 +114,16 @@ def default_root(X):
     d = X.dim
     if betti(X, d - 1) == 0:
         return tuple(greedy_column_basis(boundary_matrix(X, d - 1)))
-    s = set(greedy_row_basis(boundary_matrix(X, d)))
-    return tuple(i for i in range(X.n_cells(d - 1)) if i not in s)
+    return split_cells(X, d - 1, default_cobase(X))[1]
 
 
-def _root_complement(X, root):
-    root_set = set(root)
-    return tuple(i for i in range(X.n_cells(X.dim - 1)) if i not in root_set)
+def _row_basis_rows(X, sel, msg):
+    """The rows of the top boundary on the (d-1)-cells ``sel``, after checking
+    that they are a row basis of it (``HypothesisError`` with ``msg`` if not)."""
+    b = boundary_matrix(X, X.dim)
+    rows = b.submatrix(sel, range(b.ncols))
+    _require(rank(rows) == len(sel) == rank(b), msg)
+    return rows
 
 
 def _top_laplacian(X, weights):
@@ -140,12 +142,10 @@ def tau_reduced(X, root=None, weights=None):
     """
     d = X.dim
     _require(d >= 1, "reduced determinant needs dimension at least 1")
-    root = default_root(X) if root is None else tuple(sorted(root))
-    sel = _root_complement(X, root)
+    root, sel = split_cells(X, d - 1, default_root(X) if root is None else root)
     L = _top_laplacian(X, weights)
     det_ls = det(L.submatrix(sel, sel))
     hypotheses = []
-    # the forest test runs first so that an out-of-range root always raises
     maximal_root = (
         is_maximal_spanning_forest(X, root, d - 1)
         and betti(X, d - 1) == 0
@@ -160,14 +160,13 @@ def tau_reduced(X, root=None, weights=None):
         value = _exactify(Fraction(t_x * t_x, t_r * t_r) * det_ls)
         corrections = ((f"t{d-2}(X)", t_x), (f"t{d-2}(R)", t_r))
     else:
-        rows = boundary_matrix(X, d).submatrix(sel, range(X.n_cells(d)))
-        _require(
-            rank(rows) == len(sel) == rank(boundary_matrix(X, d)),
-            "selection is not a root: complementary rows are not a row basis of the top boundary",
+        rows = _row_basis_rows(
+            X, sel, "selection is not a root: complementary rows are not a row basis of the top boundary"
         )
         hypotheses.append("root complement is a row basis of the top boundary")
         t_x = torsion(X, d - 1)
-        t_rel = relative_homology_torsion(X, root)
+        # the relative torsion t_{d-1}(X, R) is that of the rows off the root
+        t_rel = torsion_order(rows)
         value = _exactify(Fraction(t_x * t_x, t_rel * t_rel) * det_ls)
         corrections = ((f"t{d-1}(X)", t_x), (f"t{d-1}(X,R)", t_rel))
     return TauReport(
@@ -222,9 +221,7 @@ def tau_pseudodet(X, weights=None):
 
     def level_factor(k):
         # weights apply at the top level only
-        if weights is not None and k == d:
-            return pseudodet(weighted_laplacian(X, k, weights))
-        return pseudodet(laplacian(X, k - 1, "ud"))
+        return pseudodet(_top_laplacian(X, weights) if k == d else laplacian(X, k - 1, "ud"))
 
     value, lam, t_x, below = _eigen_level(X, d, level_factor, "eigenvalue-product formula")
     return TauReport(
@@ -237,8 +234,14 @@ def tau_pseudodet(X, weights=None):
     )
 
 
-def _alternating_hypotheses(X):
+def _alternating_product(X, formula, level_factor):
+    """The alternating product over levels i = 0..d of ``level_factor(i)`` (a
+    pseudodeterminant on the (i-1)-cells), level i to the power (-1)^(d-i),
+    after checking the hypotheses of ``tau_alternating`` (``formula`` names
+    the product if the dimension is below 1).  Returns (value, the factors).
+    """
     d = X.dim
+    _require(d >= 1, f"{formula} needs dimension at least 1")
     for k in range(d):
         _require(betti(X, k) == 0, f"beta_{k}(X) != 0: alternating product needs acyclicity below the top")
     for k in range(d - 1):
@@ -246,6 +249,8 @@ def _alternating_hypotheses(X):
             torsion(X, k) == 1,
             f"t_{k}(X) != 1: alternating product needs torsion-free homology below codimension 1",
         )
+    lams = [level_factor(i) for i in range(d + 1)]
+    return _exactify(prod(Fraction(lam) ** ((-1) ** (d - i)) for i, lam in enumerate(lams))), lams
 
 
 def tau_alternating(X):
@@ -256,19 +261,14 @@ def tau_alternating(X):
     never enters the correction factors of the underlying recursion).
     """
     d = X.dim
-    _require(d >= 1, "alternating product needs dimension at least 1")
-    _alternating_hypotheses(X)
-    value = Fraction(1)
-    lams = []
-    for i in range(d + 1):
-        lam = pseudodet(laplacian(X, i - 1, "ud"))
-        lams.append((f"lam(L{i-1})", format_exact(lam)))
-        value *= Fraction(lam) ** ((-1) ** (d - i))
+    value, lams = _alternating_product(
+        X, "alternating product", lambda i: pseudodet(laplacian(X, i - 1, "ud"))
+    )
     return TauReport(
         method="alternating",
         k=d,
-        value=_exactify(value),
-        details=tuple(lams),
+        value=value,
+        details=tuple((f"lam(L{i-1})", format_exact(lam)) for i, lam in enumerate(lams)),
         hypotheses=tuple(
             [f"beta_{k}(X)=0" for k in range(d)] + [f"t_{k}(X)=1" for k in range(d - 1)]
         ),
@@ -315,14 +315,8 @@ def tau_cobase(X, cobase=None):
     """
     d = X.dim
     _require(d >= 1, "cobase determinant needs dimension at least 1")
-    cobase = default_cobase(X) if cobase is None else tuple(sorted(cobase))
-    b = boundary_matrix(X, d)
-    rows = b.submatrix(cobase, range(b.ncols))
-    _require(
-        rank(rows) == len(cobase) == rank(b),
-        "selection is not a cobase: rows are not a row basis of the top boundary",
-    )
-    root = tuple(i for i in range(X.n_cells(d - 1)) if i not in set(cobase))
+    cobase, root = split_cells(X, d - 1, default_cobase(X) if cobase is None else cobase)
+    _row_basis_rows(X, cobase, "selection is not a cobase: rows are not a row basis of the top boundary")
     L = laplacian(X, d - 1, "ud")
     det_ls = det(L.submatrix(cobase, cobase))
     t_x = torsion(X, d - 2)
@@ -359,6 +353,18 @@ def tau_cobase_spectral(X, cap=None):
     )
 
 
+def _weighted_level_factor(X, weights):
+    """Level k of the algebraic weighting: the pseudodeterminant of the
+    weighted Laplacian on the (k-1)-cells times their weight monomial (the
+    empty face's weight is 1)."""
+
+    def level_factor(k):
+        mono = prod(weights.cell_weights(X, k - 1))
+        return pseudodet(weighted_laplacian_similar(X, k, weights)) * mono
+
+    return level_factor
+
+
 def tau_algebraic_weighted(X, weights):
     """Weighted forest count from the algebraically weighted Laplacian spectrum.
 
@@ -367,12 +373,9 @@ def tau_algebraic_weighted(X, weights):
     """
     d = X.dim
     _require(d >= 1, "algebraic weighted formula needs dimension at least 1")
-
-    def level_factor(k):
-        mono = prod(weights[(k - 1, i)] for i in range(X.n_cells(k - 1))) if k >= 1 else 1
-        return pseudodet(weighted_laplacian_similar(X, k, weights)) * mono
-
-    value, _, t_x, _ = _eigen_level(X, d, level_factor, "algebraic weighted formula")
+    value, _, t_x, _ = _eigen_level(
+        X, d, _weighted_level_factor(X, weights), "algebraic weighted formula"
+    )
     return TauReport(
         method="algebraic-weighted",
         k=d,
@@ -387,18 +390,10 @@ def tau_weighted_alternating(X, weights):
 
     Same validity domain as the unweighted alternating product.
     """
-    d = X.dim
-    _require(d >= 1, "weighted alternating product needs dimension at least 1")
-    _alternating_hypotheses(X)
-    value = Fraction(1)
-    for k in range(d):
-        exp = (-1) ** (d - k - 1)
-        for i in range(X.n_cells(k)):
-            value *= Fraction(weights[(k, i)]) ** exp
-    for k in range(-1, d):
-        lam = pseudodet(weighted_laplacian_similar(X, k + 1, weights))
-        value *= Fraction(lam) ** ((-1) ** (d - k - 1))
-    return TauReport(method="weighted-alternating", k=d, value=_exactify(value))
+    value, _ = _alternating_product(
+        X, "weighted alternating product", _weighted_level_factor(X, weights)
+    )
+    return TauReport(method="weighted-alternating", k=X.dim, value=value)
 
 
 def rooted_forest_polynomial(X):
@@ -433,12 +428,11 @@ def graph_matrix_tree(G):
     if G.dim != 1:
         raise ValueError("matrix-tree routine applies to 1-dimensional complexes")
     comps = graph_components(G)
-    lam = pseudodet(laplacian(G, 0, "ud"))
+    L = laplacian(G, 0, "ud")
+    lam = pseudodet(L)
     denominator = prod(len(c) for c in comps)
     by_eigenvalues = _exactify(Fraction(lam, denominator))
-    removed = {c[0] for c in comps}
-    keep = [v for v in range(G.n_cells(0)) if v not in removed]
-    L = laplacian(G, 0, "ud")
+    _, keep = split_cells(G, 0, (c[0] for c in comps))
     by_determinant = det(L.submatrix(keep, keep))
     if by_eigenvalues != by_determinant:
         raise AssertionError("eigenvalue and determinant forest counts disagree")
@@ -483,5 +477,4 @@ def tau(X, k, method, weights=None, cap=None):
         raise ValueError(f"method {method!r} requires weights")
     if method in UNWEIGHTED_ONLY and weights is not None:
         raise ValueError(f"method {method!r} is unweighted")
-    Xk = X if k == d else skeleton(X, k)
-    return METHODS[method](Xk, weights, cap)
+    return METHODS[method](skeleton(X, k), weights, cap)

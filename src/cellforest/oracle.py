@@ -34,8 +34,9 @@ from .linalg import (
     kernel_lattice_basis,
     rank,
     saturation_basis,
+    torsion_order,
 )
-from .complexes import boundary_matrix, require_boundary_composition
+from .complexes import boundary_matrix, require_boundary_composition, split_cells
 from .homology import forest_torsion
 
 DEFAULT_CAP = 5_000_000
@@ -183,8 +184,7 @@ class RootedForest:
     nonroot_faces: tuple
 
     def root_faces(self, X):
-        s = set(self.nonroot_faces)
-        return tuple(i for i in range(X.n_cells(X.dim - 1)) if i not in s)
+        return split_cells(X, X.dim - 1, self.nonroot_faces)[1]
 
 
 def _rooted_pairs(b, sizes):
@@ -237,8 +237,9 @@ def rooted_forest_torsion_sums(X, cap=None):
 def count_orientations(X, facets, nonroot_faces):
     """Perfect matchings pairing each nonroot codim-1 face with a facet containing it."""
     b = boundary_matrix(X, X.dim)
-    faces = tuple(nonroot_faces)
-    cols = tuple(facets)
+    # matchings do not depend on the order of either side
+    faces, _ = split_cells(X, X.dim - 1, nonroot_faces)
+    cols, _ = split_cells(X, X.dim, facets)
     if len(faces) != len(cols):
         raise ValueError("orientation count needs equally many faces and facets")
     n = len(cols)
@@ -304,8 +305,9 @@ def _defect_context(X, k):
     return bk, nullity, saturation_basis(b)
 
 
-def _kernel_defect(bk, nullity, sat, cobase):
-    """Index in ker d_k of the lattice sat + (kernel avoiding the cobase).
+def _kernel_defect(bk, nullity, sat, outside):
+    """Index in ker d_k of the lattice sat + (kernel avoiding the cobase), given
+    the ascending k-cells ``outside`` the cobase.
 
     ker d_k is saturated, so for generators of full rank inside it the index
     is the product of their invariant factors.  ``sat`` is ``None`` when it
@@ -313,7 +315,6 @@ def _kernel_defect(bk, nullity, sat, cobase):
     """
     if sat is None:
         return 1
-    outside = sorted(set(range(bk.ncols)) - set(cobase))
     sub = bk.submatrix(range(bk.nrows), outside)
     lifted = []
     for col in kernel_lattice_basis(sub).columns():
@@ -336,8 +337,8 @@ def cobase_kernel_defect(X, k, cobase):
     saturated image already fills the kernel.  No vanishing hypotheses, though
     d_k d_{k+1} = 0 is presumed (``ValueError`` otherwise).
     """
-    bk, nullity, sat = _defect_context(X, k)
-    return _kernel_defect(bk, nullity, sat, cobase)
+    _, outside = split_cells(X, k, cobase)
+    return _kernel_defect(*_defect_context(X, k), outside)
 
 
 def cobase_defect_enumerator(X, k, cap=None):
@@ -352,8 +353,8 @@ def cobase_defect_enumerator(X, k, cap=None):
     bk, nullity, sat = _defect_context(X, k)
     total = 0
     for cobase in enumerate_cobases(X, k, cap):
-        root = sorted(set(range(X.n_cells(k))) - set(cobase))
-        t_root = forest_torsion(X, root, k)
-        defect = _kernel_defect(bk, nullity, sat, cobase)
+        _, root = split_cells(X, k, cobase)
+        t_root = torsion_order(bk.submatrix(range(bk.nrows), root))
+        defect = _kernel_defect(bk, nullity, sat, root)
         total += t_root * t_root * defect * defect
     return total

@@ -238,10 +238,7 @@ SUITES = {
 
 def run_suite(name, cap=None, seed=DEFAULT_SEED):
     if name == "all":
-        rows = []
-        for suite_name in ("families", "theorems", "critical", "duality"):
-            rows.extend(SUITES[suite_name](cap=cap, seed=seed))
-        return rows
+        return [row for suite in SUITES.values() for row in suite(cap=cap, seed=seed)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES) + ['all']}")
     return SUITES[name](cap=cap, seed=seed)

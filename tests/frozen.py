@@ -10,8 +10,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from cellforest.complexes import boundary_matrix, weighted_laplacian
-from cellforest.homology import torsion
+from cellforest.complexes import (
+    boundary_matrix,
+    laplacian,
+    weighted_laplacian,
+    weighted_laplacian_similar,
+)
+from cellforest.homology import betti, torsion
 from cellforest.linalg import (
     CharPoly,
     Matrix,
@@ -20,6 +25,7 @@ from cellforest.linalg import (
     det,
     invariant_factors,
     kernel_lattice_basis,
+    pseudodet,
     rank,
     saturation_basis,
     _canon as _canon_entry,
@@ -868,3 +874,53 @@ def tutte_by_deletion_contraction(M):
 
     terms = rec(M.ground(), frozenset())
     return {(i, j): c for i, j, c in terms}
+
+
+def _alternating_hypotheses(X):
+    d = X.dim
+    for k in range(d):
+        _require(betti(X, k) == 0, f"beta_{k}(X) != 0: alternating product needs acyclicity below the top")
+    for k in range(d - 1):
+        _require(
+            torsion(X, k) == 1,
+            f"t_{k}(X) != 1: alternating product needs torsion-free homology below codimension 1",
+        )
+
+
+def tau_alternating_by_own_loop(X):
+    """``matrix_forest.tau_alternating`` with its own product loop."""
+    d = X.dim
+    _require(d >= 1, "alternating product needs dimension at least 1")
+    _alternating_hypotheses(X)
+    value = Fraction(1)
+    lams = []
+    for i in range(d + 1):
+        lam = pseudodet(laplacian(X, i - 1, "ud"))
+        lams.append((f"lam(L{i-1})", format_exact(lam)))
+        value *= Fraction(lam) ** ((-1) ** (d - i))
+    return TauReport(
+        method="alternating",
+        k=d,
+        value=_exactify(value),
+        details=tuple(lams),
+        hypotheses=tuple(
+            [f"beta_{k}(X)=0" for k in range(d)] + [f"t_{k}(X)=1" for k in range(d - 1)]
+        ),
+    )
+
+
+def tau_weighted_alternating_by_own_loop(X, weights):
+    """``matrix_forest.tau_weighted_alternating`` with its own product loops:
+    the weight monomials first, then the pseudodeterminants."""
+    d = X.dim
+    _require(d >= 1, "weighted alternating product needs dimension at least 1")
+    _alternating_hypotheses(X)
+    value = Fraction(1)
+    for k in range(d):
+        exp = (-1) ** (d - k - 1)
+        for i in range(X.n_cells(k)):
+            value *= Fraction(weights[(k, i)]) ** exp
+    for k in range(-1, d):
+        lam = pseudodet(weighted_laplacian_similar(X, k + 1, weights))
+        value *= Fraction(lam) ** ((-1) ** (d - k - 1))
+    return TauReport(method="weighted-alternating", k=d, value=_exactify(value))

@@ -13,6 +13,7 @@ from cellforest.complexes import (
     face_label,
     laplacian,
     skeleton,
+    split_cells,
 )
 from cellforest.critical import fundamental_vectors
 from cellforest.families import (
@@ -129,7 +130,7 @@ def test_kernel_defects_match_quotient_orders():
             old = defect_context_by_quotient(X, k)
             assert old[1].ncols == nullity
             for cobase in some_cobases(rng, X, k):
-                got = _kernel_defect(bk, nullity, sat, cobase)
+                got = _kernel_defect(bk, nullity, sat, split_cells(X, k, cobase)[1])
                 assert got == kernel_defect_by_quotient(*old, cobase)
                 assert type(got) is int
                 defects.append(got)
@@ -142,7 +143,7 @@ def test_defect_rank_deficit_raises_both_ways():
     X = named_complex("moebius")
     everything = tuple(range(X.n_cells(1)))
     with pytest.raises(ValueError, match="infinite defect"):
-        _kernel_defect(*_defect_context(X, 1), everything)
+        _kernel_defect(*_defect_context(X, 1), split_cells(X, 1, everything)[1])
     with pytest.raises(ValueError, match="infinite defect"):
         kernel_defect_by_quotient(*defect_context_by_quotient(X, 1), everything)
 
