@@ -247,9 +247,14 @@ def weighted_laplacian_similar(X, k, w):
 def split_cells(X, k, cells):
     """(chosen, rest): the k-cell indices ``cells`` sorted, and the other
     k-cells in ascending order.  Every root, cobase and forest selection is
-    split here, so an index outside 0..n-1, or given twice, raises
-    ``ValueError`` naming it."""
+    split here, so an index that is not an ``int`` (a bool or a float is
+    not), lies outside 0..n-1 or is given twice raises ``ValueError`` naming
+    it."""
     n = X.n_cells(k)
+    cells = tuple(cells)
+    for i in cells:
+        if type(i) is not int:
+            raise ValueError(f"{k}-cell index {i!r} is not an int")
     chosen = tuple(sorted(cells))
     # sorted, so the extremes decide the range
     for i in chosen[:1] + chosen[-1:]:

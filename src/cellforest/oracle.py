@@ -7,11 +7,13 @@ carrying a nonsingular square submatrix.  These routines are the oracle that
 every determinant and eigenvalue formula is tested against, so they stay
 literal and visit every forest, cobase and rooted forest.  A depth-first
 search finds them: it branches over the sparse elimination step of
-``linalg``, drops a prefix once it is dependent, and brings one nonzero
-maximal minor to each leaf.  The +-1 certificate (torsion is the gcd of the
-maximal minors, so a unit minor proves it 1) lives in
-``linalg.invariant_factors``, so cobase roots and kernel defects skip the
-Smith form too; census leaves read it off their own minor.
+``linalg`` and brings one nonzero maximal minor to each leaf.  It leaves a
+node at its first child without a leaf, because no later sibling has one
+either: the candidates from position p on span a rank that only falls as p
+grows.  The +-1 certificate (torsion is the gcd of the maximal minors, so a
+unit minor proves it 1) lives in ``linalg.invariant_factors``, so cobase
+roots and kernel defects skip the Smith form too; census leaves read it off
+their own minor.
 
 Enumeration order is lexicographic in cell indices throughout, so censuses
 and reports are deterministic.
@@ -94,13 +96,20 @@ def _independent_subsets(cols, size):
     extensions.  The chosen columns are triangular on their pivot rows P, so
     det of the subset on P is the product of pivot*g/a; unit pivots come
     first, to keep that minor at 1.  The leftmost path is ``linalg._greedy_path``.
+
+    A node that needs ``need`` more columns from its candidates c_0, c_1, ...
+    has a leaf below its child on c_p exactly when rank(c_p, c_{p+1}, ...) is
+    at least ``need``: c_p is nonzero, so it extends to a basis of their span.
+    That rank only falls as p grows, so the node stops at its first child
+    without a leaf.  Each node returns whether it yielded one, and a dead
+    child finds out along its own chain of first children.
     """
 
     def rec(prefix, cands, num, den):
         need = size - len(prefix)
         for pos, (j, v, a, g) in enumerate(cands):
             if len(cands) - pos < need:
-                return
+                return pos > 0
             for pr, pv in v.items():
                 if pv == 1 or pv == -1:
                     break
@@ -108,7 +117,10 @@ def _independent_subsets(cols, size):
                 yield prefix + (j,), abs(num * pv * g // (den * a))
                 continue
             rest = _eliminate(cands[pos + 1 :], pr, v, pv)
-            yield from rec(prefix + (j,), rest, num * pv * g, den * a)
+            found = yield from rec(prefix + (j,), rest, num * pv * g, den * a)
+            if not found:
+                return pos > 0
+        return bool(cands)
 
     if size == 0:
         return iter([((), 1)])

@@ -105,6 +105,29 @@ def low_rank_psd(rng, n):
     return Matrix([[sum(a * b for a, b in zip(A[i], A[j])) for j in range(n)] for i in range(n)], ncols=n)
 
 
+def random_sparse_columns(rng):
+    """Up to ten sparse {row: value} integer columns, rows ascending, of low
+    rank: each is a zero column, one of a few random base columns (entries
+    in -3..3, non-units included) or an integer combination of two of them,
+    which may cancel to zero."""
+    nrows = rng.randint(1, 6)
+    r = rng.randint(1, nrows)
+    base = [[rng.choice((0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(nrows)] for _ in range(r)]
+    cols = []
+    for _ in range(rng.randint(0, 10)):
+        kind = rng.random()
+        if kind < 0.1:
+            col = [0] * nrows
+        elif kind < 0.5:
+            col = rng.choice(base)
+        else:
+            x, y = rng.choice(base), rng.choice(base)
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            col = [a * p + b * q for p, q in zip(x, y)]
+        cols.append({i: v for i, v in enumerate(col) if v})
+    return cols
+
+
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from cellforest.linalg import (
     rank,
     saturation_basis,
     _canon as _canon_entry,
+    _eliminate,
     _hessenberg_char_poly_mod,
     _prime,
     _sparse_columns,
@@ -620,6 +621,40 @@ def sum_squared_minors(cols, target):
         return total
 
     return rec(0, 0, [], 1, 1)
+
+
+def independent_subsets_unpruned(cols, size):
+    """``oracle._independent_subsets`` before a node stopped at its first
+    child without a leaf: every candidate of every node is branched on.
+
+    Independent ``size``-subsets of sparse {row: value} integer columns, in
+    lexicographic order, each as (subset, |det|) for one nonzero maximal minor.
+
+    A node carries every later column reduced against the pivots of its
+    prefix by ``linalg._eliminate``: v = (a/g)*column + (pivot columns), a the
+    product of the pivots.  A column reduced to zero drops out with all its
+    extensions.  The chosen columns are triangular on their pivot rows P, so
+    det of the subset on P is the product of pivot*g/a; unit pivots come
+    first, to keep that minor at 1.  The leftmost path is ``linalg._greedy_path``.
+    """
+
+    def rec(prefix, cands, num, den):
+        need = size - len(prefix)
+        for pos, (j, v, a, g) in enumerate(cands):
+            if len(cands) - pos < need:
+                return
+            for pr, pv in v.items():
+                if pv == 1 or pv == -1:
+                    break
+            if need == 1:
+                yield prefix + (j,), abs(num * pv * g // (den * a))
+                continue
+            rest = _eliminate(cands[pos + 1 :], pr, v, pv)
+            yield from rec(prefix + (j,), rest, num * pv * g, den * a)
+
+    if size == 0:
+        return iter([((), 1)])
+    return rec((), [(j, c, 1, 1) for j, c in enumerate(cols) if c], 1, 1)
 
 
 def cobases_by_combinations(X, k, cap=None):

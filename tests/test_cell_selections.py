@@ -1,9 +1,9 @@
 """Cell selections and alternating products.
 
 Every root, cobase and forest is split into its cells and their complement by
-``complexes.split_cells``, which rejects an index outside the level; the
-alternating products share one loop, compared here with the two loops it
-replaced (``tests/frozen.py``).
+``complexes.split_cells``, which rejects an index that is not an int or lies
+outside the level; the alternating products share one loop, compared here
+with the two loops it replaced (``tests/frozen.py``).
 """
 
 import random
@@ -73,6 +73,20 @@ def test_a_malformed_selection_names_its_index(name, complex_name):
             call(X, i)
     with pytest.raises(ValueError, match=rf"^{k}-cell index 1 given twice$"):
         call(X, 1)
+    for i in (1.5, True, 0.0, "2"):
+        with pytest.raises(ValueError, match=rf"^{k}-cell index {i!r} is not an int$"):
+            call(X, i)
+
+
+def test_a_non_integer_index_is_refused_not_read_as_a_cell():
+    # each was once read as a cell (the first two) or failed as a TypeError
+    X = named_complex("bipyramid")
+    with pytest.raises(ValueError, match=r"^2-cell index 1\.5 is not an int$"):
+        forest_torsion(X, (0, 1.5))
+    with pytest.raises(ValueError, match=r"^1-cell index True is not an int$"):
+        tau_reduced(X, root=(True, 0, 2, 3))
+    with pytest.raises(ValueError, match=r"^1-cell index 0\.0 is not an int$"):
+        tau_cobase(X, cobase=(0.0, 1, 2, 4, 5))
 
 
 def _outcome(route, X):

@@ -1,15 +1,17 @@
 """Differential corpus: the depth-first enumerators of the oracle against the
 frozen loops that tested every subset of the right size from scratch."""
 
+import random
 from math import comb
 
 import pytest
 
 from cellforest import io as cfio
+from cellforest import oracle
 from cellforest.cli import main
 from cellforest.families import named_complex, named_simplicial, simplex_skeleton
 from cellforest.homology import betti, homology, torsion
-from cellforest.linalg import _sparse_columns
+from cellforest.linalg import _greedy_path, _sparse_columns
 from cellforest.oracle import (
     CapExceeded,
     _independent_subsets,
@@ -19,10 +21,12 @@ from cellforest.oracle import (
     rooted_forest_torsion_sums,
 )
 
-from corpus import CORPUS
+import frozen
+from corpus import CORPUS, SEED, random_sparse_columns
 from frozen import (
     cobases_by_combinations,
     forests_by_combinations,
+    independent_subsets_unpruned,
     rooted_forests_by_combinations,
     rooted_sums_by_row_sets,
 )
@@ -119,6 +123,44 @@ def test_search_yields_lexicographic_independent_sets():
         ((0, 2), 3), ((0, 4), 1), ((1, 2), 6), ((1, 4), 2), ((2, 4), 3),
     ]
     assert list(_independent_subsets(cols, 3)) == []
+
+
+def counting_eliminate(monkeypatch, module):
+    """Count the calls that ``module`` makes to ``_eliminate`` in a list of one."""
+    calls = [0]
+    eliminate = module._eliminate
+
+    def counted(*args):
+        calls[0] += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(module, "_eliminate", counted)
+    return calls
+
+
+def test_search_matches_frozen_unpruned_search(monkeypatch):
+    pruned, unpruned = counting_eliminate(monkeypatch, oracle), counting_eliminate(monkeypatch, frozen)
+    rng = random.Random(SEED)
+    fewer = 0
+    for _ in range(400):
+        cols = random_sparse_columns(rng)
+        r = len(_greedy_path(cols)[0])
+        for size in range(r + 2):
+            before = pruned[0], unpruned[0]
+            want = list(independent_subsets_unpruned(cols, size))
+            assert list(_independent_subsets(cols, size)) == want
+            fewer += pruned[0] - before[0] < unpruned[0] - before[1]
+    # the corpus must reach dead siblings, or the sibling rule goes untested
+    assert fewer >= 200
+
+
+def test_census_search_stops_at_the_first_dead_sibling(monkeypatch):
+    calls = counting_eliminate(monkeypatch, oracle)
+    # past the census cache, which an earlier test may have filled
+    census = enumerate_forests.__wrapped__(simplex_skeleton(6, 2).to_chain_complex())
+    assert len(census.forests) == 46_620
+    # the search without the sibling rule makes 98,601 calls
+    assert 0 < calls[0] <= 66_834
 
 
 def test_caps_fire_before_enumeration_with_unchanged_counts():
