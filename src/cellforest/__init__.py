@@ -48,7 +48,6 @@ from .complexes import (
 from .homology import (
     HomologySummary,
     betti,
-    homology,
     is_maximal_spanning_forest,
     is_spanning_forest,
     is_spanning_tree,
@@ -89,7 +88,6 @@ from .matrix_forest import (
 )
 from .critical import (
     AbelianGroupStructure,
-    LatticeData,
     critical_group,
     critical_group_reduced,
     cut_lattice,

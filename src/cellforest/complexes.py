@@ -129,6 +129,13 @@ def laplacian(X, k, kind="ud"):
     return Matrix._from_rows(G, len(G), True)
 
 
+def _vertex_weights(v):
+    """{vertex: Fraction} from a sequence indexed from vertex 1, or a mapping."""
+    if isinstance(v, dict):
+        return {int(k): Fraction(x) for k, x in v.items()}
+    return {i + 1: Fraction(x) for i, x in enumerate(v)}
+
+
 class WeightAssignment:
     """Strictly positive exact rational weights on cells, keyed by (dim, index).
 
@@ -139,10 +146,14 @@ class WeightAssignment:
         weights = {}
         for key, v in dict(values).items():
             dim, idx = key
+            if type(dim) is not int or type(idx) is not int:
+                raise ValueError(f"weight key {key!r} is not a pair of ints")
+            if type(v) is not int and not isinstance(v, Fraction):
+                raise ValueError(f"weight at {key!r} is not an int or a Fraction: {v!r}")
             w = Fraction(v)
             if w <= 0:
                 raise ValueError(f"weight at {key} must be positive, got {w}")
-            weights[(int(dim), int(idx))] = w
+            weights[(dim, idx)] = w
         self._weights = weights
 
     @classmethod
@@ -156,10 +167,7 @@ class WeightAssignment:
         ``v`` maps vertex labels 1..n to positive rationals (sequence indexed
         from vertex 1, or a mapping).
         """
-        if isinstance(v, dict):
-            vw = {int(k): Fraction(x) for k, x in v.items()}
-        else:
-            vw = {i + 1: Fraction(x) for i, x in enumerate(v)}
+        vw = _vertex_weights(v)
         values = {}
         for k, layer in enumerate(S.faces_by_dim()):
             for i, face in enumerate(layer):

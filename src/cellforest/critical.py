@@ -39,19 +39,6 @@ class AbelianGroupStructure:
         return " x ".join(f"Z/{f}" for f in self.torsion_factors) or "0"
 
 
-@dataclass(frozen=True)
-class LatticeData:
-    """An integral lattice: ambient dimension, basis columns, and a role tag."""
-
-    ambient: int
-    basis: Matrix
-    role: str
-
-    @property
-    def rank(self):
-        return self.basis.ncols
-
-
 def _torsion_structure(M):
     return AbelianGroupStructure(tuple(f for f in invariant_factors(M) if f > 1))
 
@@ -71,7 +58,7 @@ def critical_group_reduced(X, i):
     """
     if not 0 <= i < X.dim:
         raise ValueError(f"critical group index {i} out of range 0..{X.dim - 1}")
-    forest = (0,) if i == 0 else first_torsion_free_forest(X, i)
+    forest = first_torsion_free_forest(X, i)
     if forest is None:
         return None
     _, keep = split_cells(X, i, forest)
@@ -82,24 +69,21 @@ def cut_lattice(X, k):
     """Integer row space of the k-th boundary, as a column basis."""
     if not 1 <= k <= X.dim:
         raise ValueError(f"cut lattice index {k} out of range 1..{X.dim}")
-    basis = column_lattice_basis(boundary_matrix(X, k).transpose())
-    return LatticeData(X.n_cells(k), basis, "cut")
+    return column_lattice_basis(boundary_matrix(X, k).transpose())
 
 
 def flow_lattice(X, k):
     """Integer kernel of the k-th boundary, as a column basis."""
     if not 1 <= k <= X.dim:
         raise ValueError(f"flow lattice index {k} out of range 1..{X.dim}")
-    basis = kernel_lattice_basis(boundary_matrix(X, k))
-    return LatticeData(X.n_cells(k), basis, "flow")
+    return kernel_lattice_basis(boundary_matrix(X, k))
 
 
-def discriminant_group(L):
-    """Structure of (dual lattice)/(lattice): cokernel of the Gram matrix."""
-    if L.rank == 0:
-        return AbelianGroupStructure(())
-    gram = L.basis.transpose() * L.basis
-    return _torsion_structure(gram)
+def discriminant_group(basis):
+    """Structure of (dual lattice)/(lattice) for the lattice spanned by the
+    columns of ``basis``: the cokernel of its Gram matrix (0 x 0, so trivial,
+    for the zero lattice)."""
+    return _torsion_structure(basis.transpose() * basis)
 
 
 def _primitive(vec, positive_at):
@@ -196,12 +180,9 @@ def sequence_order_check(X):
     K = critical_group(X, d - 1)
     C = cut_lattice(X, d)
     F = flow_lattice(X, d)
-    if C.rank + F.rank != X.n_cells(d):
+    if C.ncols + F.ncols != X.n_cells(d):
         raise AssertionError("cut and flow ranks do not fill the ambient space")
-    combined = Matrix.from_columns(
-        [C.basis.column(j) for j in range(C.rank)] + [F.basis.column(j) for j in range(F.rank)],
-        nrows=X.n_cells(d),
-    )
+    combined = Matrix.from_columns(C.columns() + F.columns(), nrows=X.n_cells(d))
     index = abs(det(combined))
     return SequenceOrderReport(
         critical_order=K.order,

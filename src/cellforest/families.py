@@ -19,7 +19,14 @@ from itertools import chain, combinations, product
 from math import comb, prod
 
 from .linalg import Matrix
-from .complexes import ChainComplex, WeightAssignment, from_facets, is_shifted, vertex_components
+from .complexes import (
+    ChainComplex,
+    WeightAssignment,
+    _vertex_weights,
+    from_facets,
+    is_shifted,
+    vertex_components,
+)
 
 
 def binom_ext(a, b):
@@ -289,9 +296,7 @@ def shifted_signatures(S):
 
 def shifted_tree_count_weighted(S, v):
     """Vertex-weighted tree count of a pure shifted complex via critical pairs."""
-    v = {i + 1: Fraction(x) for i, x in enumerate(v)} if not isinstance(v, dict) else {
-        int(k): Fraction(x) for k, x in v.items()
-    }
+    v = _vertex_weights(v)
     d = S.dim
     star = [sorted(f) for f in S.facets if 1 in f]
     value = v[1] ** len(star)

@@ -34,6 +34,7 @@ from fractions import Fraction
 from math import prod
 
 from .linalg import (
+    _canon,
     _sparse_columns,
     char_poly,
     column_lattice_basis,
@@ -97,13 +98,6 @@ class TauReport:
         return "\n".join(lines)
 
 
-def _exactify(x):
-    x = Fraction(x) if not isinstance(x, (int, Fraction)) else x
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
-
-
 def default_root(X):
     """Deterministic root: the lexicographically greedy one.
 
@@ -157,7 +151,7 @@ def tau_reduced(X, root=None, weights=None):
         hypotheses.append("root is a maximal codim-1 forest")
         t_x = torsion(X, d - 2)
         t_r = forest_torsion(X, root, d - 1)
-        value = _exactify(Fraction(t_x * t_x, t_r * t_r) * det_ls)
+        value = _canon(Fraction(t_x * t_x, t_r * t_r) * det_ls)
         corrections = ((f"t{d-2}(X)", t_x), (f"t{d-2}(R)", t_r))
     else:
         rows = _row_basis_rows(
@@ -167,7 +161,7 @@ def tau_reduced(X, root=None, weights=None):
         t_x = torsion(X, d - 1)
         # the relative torsion t_{d-1}(X, R) is that of the rows off the root
         t_rel = torsion_order(rows)
-        value = _exactify(Fraction(t_x * t_x, t_rel * t_rel) * det_ls)
+        value = _canon(Fraction(t_x * t_x, t_rel * t_rel) * det_ls)
         corrections = ((f"t{d-1}(X)", t_x), (f"t{d-1}(X,R)", t_rel))
     return TauReport(
         method="reduced",
@@ -211,7 +205,7 @@ def _eigen_level(X, k, level_factor, formula):
     )
     lam = level_factor(k)
     below = _eigen_level(X, k - 1, level_factor, formula)[0]
-    return _exactify(Fraction(t_x * t_x) * lam / below), lam, t_x, below
+    return _canon(Fraction(t_x * t_x) * lam / below), lam, t_x, below
 
 
 def tau_pseudodet(X, weights=None):
@@ -256,7 +250,7 @@ def _alternating_product(X, formula, level_factor):
             f"t_{k}(X) != 1: alternating product needs torsion-free homology below codimension 1",
         )
     lams = [level_factor(i) for i in range(d + 1)]
-    return _exactify(prod(Fraction(lam) ** ((-1) ** (d - i)) for i, lam in enumerate(lams))), lams
+    return _canon(prod(Fraction(lam) ** ((-1) ** (d - i)) for i, lam in enumerate(lams))), lams
 
 
 def tau_alternating(X):
@@ -299,9 +293,9 @@ def tau_covolume(X, weights=None):
         return TauReport(method="covolume", k=d, value=1, details=(("rank", "0"),))
     L = _top_laplacian(X, weights)
     covol2 = covolume_squared(basis)
-    det_action = _exactify(Fraction(det(basis.transpose() * L * basis)) / covol2)
+    det_action = _canon(Fraction(det(basis.transpose() * L * basis)) / covol2)
     t_x = torsion(X, d - 1)
-    value = _exactify(Fraction(t_x * t_x) * det_action / covol2)
+    value = _canon(Fraction(t_x * t_x) * det_action / covol2)
     return TauReport(
         method="covolume",
         k=d,
@@ -328,7 +322,7 @@ def tau_cobase(X, cobase=None):
     t_x = torsion(X, d - 2)
     t_r = forest_torsion(X, root, d - 1)
     defect = cobase_kernel_defect(X, d - 1, cobase)
-    value = _exactify(Fraction(t_x * t_x, t_r * t_r * defect * defect) * det_ls)
+    value = _canon(Fraction(t_x * t_x, t_r * t_r * defect * defect) * det_ls)
     return TauReport(
         method="cobase",
         k=d,
@@ -349,7 +343,7 @@ def tau_cobase_spectral(X, cap=None):
     lam = pseudodet(laplacian(X, d - 1, "ud"))
     h = cobase_defect_enumerator(X, d - 1, cap=cap)
     t_x = torsion(X, d - 2)
-    value = _exactify(Fraction(t_x * t_x) * lam / h)
+    value = _canon(Fraction(t_x * t_x) * lam / h)
     return TauReport(
         method="cobase-spectral",
         k=d,
@@ -437,7 +431,7 @@ def graph_matrix_tree(G):
     L = laplacian(G, 0, "ud")
     lam = pseudodet(L)
     denominator = prod(len(c) for c in comps)
-    by_eigenvalues = _exactify(Fraction(lam, denominator))
+    by_eigenvalues = _canon(Fraction(lam, denominator))
     _, keep = split_cells(G, 0, (c[0] for c in comps))
     by_determinant = det(L.submatrix(keep, keep))
     if by_eigenvalues != by_determinant:

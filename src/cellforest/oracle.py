@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb, prod
 
 from .linalg import (
@@ -199,12 +199,21 @@ class RootedForest:
         return split_cells(X, X.dim - 1, self.nonroot_faces)[1]
 
 
-def _rooted_pairs(b, sizes):
-    """(F, S, |det b[S, F]|) over the nonsingular square submatrices of b of
-    the given sizes, lexicographic in (F, S): for each independent column set
-    F, an inner search over the rows of b[:, F]."""
+def _rooted_pairs(b, cap, what):
+    """(F, S, |det b[S, F]|) over the nonsingular square submatrices of b,
+    lexicographic in (F, S): for each independent column set F, an inner
+    search over the rows of b[:, F].
+
+    No nonsingular submatrix is larger than r = rank b, so the sizes run over
+    0..r.  Before the first pair, the cap is checked against
+    sum_{s<=r} C(nd, s) C(nd1, s), the number of (F, S) pairs of those sizes
+    on b's nd columns and nd1 rows: every pair the searches can visit.
+    """
+    r = rank(b)
+    total = sum(comb(b.ncols, s) * comb(b.nrows, s) for s in range(r + 1))
+    _check_cap(total, cap, what)
     cols, rows = _sparse_columns(b), _sparse_rows(b)
-    for s in sizes:
+    for s in range(r + 1):
         for facets, _ in _independent_subsets(cols, s):
             keep = set(facets)
             sub = [{c: v for c, v in row.items() if c in keep} for row in rows]
@@ -213,18 +222,15 @@ def _rooted_pairs(b, sizes):
 
 
 def enumerate_rooted_forests(X, cap=None):
-    """All rooted spanning forests (of every size), lexicographic in (F, S)."""
-    d = X.dim
-    if d < 1:
+    """All rooted spanning forests (of every size), lexicographic in (F, S).
+
+    ``CapExceeded`` before the search when sum_{s<=rank} C(nd, s) C(nd1, s),
+    the (F, S) pairs it can visit, exceeds the cap.
+    """
+    if X.dim < 1:
         raise ValueError("rooted forests need dimension at least 1")
-    b = boundary_matrix(X, d)
-    nd, nd1 = b.ncols, b.nrows
-    total = sum(comb(nd, s) * comb(nd1, s) for s in range(min(nd, nd1) + 1))
-    _check_cap(total, cap, "rooted forest enumeration")
-    return tuple(
-        RootedForest(facets, faces)
-        for facets, faces, _ in _rooted_pairs(b, range(min(nd, nd1) + 1))
-    )
+    pairs = _rooted_pairs(boundary_matrix(X, X.dim), cap, "rooted forest enumeration")
+    return tuple(RootedForest(facets, faces) for facets, faces, _ in pairs)
 
 
 def rooted_forest_torsion_sums(X, cap=None):
@@ -232,16 +238,14 @@ def rooted_forest_torsion_sums(X, cap=None):
     forests whose root keeps j codim-1 cells.
 
     The relative torsion of a rooted forest (S, F), with S its nonroot
-    codim-1 cells and F its facets, is |det d[S, F]|.
+    codim-1 cells and F its facets, is |det d[S, F]|.  ``CapExceeded``
+    before the search when sum_{s<=rank} C(nd, s) C(nd1, s), the (F, S)
+    pairs it can visit, exceeds the cap.
     """
-    d = X.dim
-    b = boundary_matrix(X, d)
+    b = boundary_matrix(X, X.dim)
     nd1 = b.nrows
-    r = rank(b)
-    total = sum(comb(nd1, s) for s in range(r + 1))
-    _check_cap(total, cap, "rooted forest torsion sums")
     c = [0] * (nd1 + 1)
-    for _, faces, minor in _rooted_pairs(b, range(r + 1)):
+    for _, faces, minor in _rooted_pairs(b, cap, "rooted forest torsion sums"):
         c[nd1 - len(faces)] += minor * minor
     return tuple(c)
 
@@ -259,22 +263,16 @@ def count_orientations(X, facets, nonroot_faces):
         sum(1 << j for j, c in enumerate(cols) if b[f, c] != 0) for f in faces
     ]
 
-    memo = {}
-
+    @cache
     def rec(i, used):
         if i == n:
             return 1
-        key = used
-        hit = memo.get((i, key))
-        if hit is not None:
-            return hit
         total = 0
         free = adj[i] & ~used
         while free:
             bit = free & -free
             total += rec(i + 1, used | bit)
             free ^= bit
-        memo[(i, key)] = total
         return total
 
     return rec(0, 0)

@@ -29,12 +29,13 @@ from cellforest.linalg import (
     rank,
     saturation_basis,
     _canon as _canon_entry,
+    _canon as _exactify,
     _eliminate,
     _hessenberg_char_poly_mod,
     _prime,
     _sparse_columns,
 )
-from cellforest.matrix_forest import TauReport, _exactify, _require, format_exact
+from cellforest.matrix_forest import TauReport, _require, format_exact
 from cellforest.oracle import ForestCensus, RootedForest, _check_cap
 
 

@@ -166,17 +166,30 @@ def test_census_search_stops_at_the_first_dead_sibling(monkeypatch):
 def test_caps_fire_before_enumeration_with_unchanged_counts():
     k62, rp2 = simplex_skeleton(6, 2).to_chain_complex(), named_complex("rp2_six_vertex")
     # C(20,10) forest candidates of K_6^2; on rp2_six_vertex (15 edges, 10
-    # triangles, rank 10) C(15,10) row sets, sum_s C(10,s) C(15,s) pairs and
-    # sum_{s<=10} C(15,s) row sets
+    # triangles, rank 10) C(15,10) row sets, and for both rooted searches
+    # sum_{s<=10} C(10,s) C(15,s) (facets, faces) pairs
     for call, count, what in (
         (lambda cap: enumerate_forests(k62, 2, cap=cap), 184_756, "forest census at k=2"),
         (lambda cap: enumerate_cobases(rp2, 1, cap=cap), 3_003, "cobase enumeration at k=1"),
         (lambda cap: enumerate_rooted_forests(rp2, cap=cap), 3_268_760, "rooted forest enumeration"),
-        (lambda cap: rooted_forest_torsion_sums(rp2, cap=cap), 30_827, "rooted forest torsion sums"),
+        (lambda cap: rooted_forest_torsion_sums(rp2, cap=cap), 3_268_760, "rooted forest torsion sums"),
     ):
         with pytest.raises(CapExceeded) as exc:
             call(count - 1)
         assert str(exc.value) == f"{what} needs {count} subsets, cap is {count - 1}"
+
+
+def test_rooted_sums_cap_counts_the_pairs_they_visit():
+    # the search visits (facets, faces) pairs, so the cap counts those:
+    # sum_{s<=6} C(10,s)^2 on K_5^2, where only 848 row sets have size <= 6,
+    # and sum_{s<=10} C(20,s) C(15,s) on K_6^2, refused before any search
+    k52, k62 = (simplex_skeleton(n, 2).to_chain_complex() for n in (5, 6))
+    with pytest.raises(CapExceeded) as exc:
+        rooted_forest_torsion_sums(k52, cap=848)
+    assert str(exc.value) == "rooted forest torsion sums needs 168230 subsets, cap is 848"
+    with pytest.raises(CapExceeded) as exc:
+        rooted_forest_torsion_sums(k62)
+    assert str(exc.value) == "rooted forest torsion sums needs 2952624906 subsets, cap is 5000000"
 
 
 @pytest.mark.parametrize("S", [simplex_skeleton(5, 2), named_simplicial("rp2_six_vertex")])

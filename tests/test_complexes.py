@@ -130,6 +130,25 @@ class TestWeightedLaplacian:
         with pytest.raises(ValueError):
             WeightAssignment({(0, 0): 0})
 
+    @pytest.mark.parametrize("key", [(0, 1.5), (1, True), (True, 0), (1.0, 0), ("1", 0)])
+    def test_inexact_key_rejected(self, key):
+        # int() would read (0, 1.5) as (0, 1) and (1, True) as (1, 1)
+        with pytest.raises(ValueError) as exc:
+            WeightAssignment({key: 3})
+        assert str(exc.value) == f"weight key {key!r} is not a pair of ints"
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, True, "1e3", "3", "1/2"])
+    def test_inexact_value_rejected(self, value):
+        # Fraction() would read 0.1 as 3602879701896397/36028797018963968
+        # and "1e3" as 1000, which io.parse_weights refuses
+        with pytest.raises(ValueError) as exc:
+            WeightAssignment({(0, 1): value})
+        assert str(exc.value) == f"weight at (0, 1) is not an int or a Fraction: {value!r}"
+
+    def test_exact_weights_kept(self):
+        w = WeightAssignment({(0, 1): 3, (1, 0): Fraction(1, 2), (1, 1): Fraction(4, 2)})
+        assert dict(w.items()) == {(0, 1): 3, (1, 0): Fraction(1, 2), (1, 1): 2}
+
 
 class TestRelativeBoundary:
     def test_all_rows_removed(self, k3):

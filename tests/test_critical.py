@@ -90,26 +90,23 @@ class TestCriticalGroup:
 
 class TestLattices:
     def test_k3_ranks(self, k3):
-        assert cut_lattice(k3, 1).rank == 2
-        assert flow_lattice(k3, 1).rank == 1
+        assert cut_lattice(k3, 1).ncols == 2
+        assert flow_lattice(k3, 1).ncols == 1
 
     def test_moebius_flow_rank_zero(self, moebius):
-        assert flow_lattice(moebius, 2).rank == 0
+        assert flow_lattice(moebius, 2).ncols == 0
 
     def test_rank_nullity(self, bipyramid, rp2_six, annulus):
         for X in (bipyramid, rp2_six, annulus):
             for k in range(1, X.dim + 1):
-                assert cut_lattice(X, k).rank + flow_lattice(X, k).rank == X.n_cells(k)
+                assert cut_lattice(X, k).ncols + flow_lattice(X, k).ncols == X.n_cells(k)
 
     def test_discriminant_orders(self, k3, c4):
         assert discriminant_group(cut_lattice(k3, 1)).order == 3
         assert discriminant_group(flow_lattice(c4, 1)) == AbelianGroupStructure((4,))
 
     def test_unimodular_lattice_trivial(self):
-        from cellforest.critical import LatticeData
-
-        L = LatticeData(3, Matrix.identity(3), "cut")
-        assert discriminant_group(L).order == 1
+        assert discriminant_group(Matrix.identity(3)).order == 1
 
 
 class TestFundamentalVectors:
@@ -132,16 +129,16 @@ class TestFundamentalVectors:
 
         flow = fl(X, 2)
         circ = Matrix.from_columns(list(circuits.values()), nrows=X.n_cells(2))
-        assert lattice_quotient_order(flow.basis, circ) == 1
+        assert lattice_quotient_order(flow, circ) == 1
         cut = cl(X, 2)
         bond = Matrix.from_columns(list(bonds.values()), nrows=X.n_cells(2))
-        assert lattice_quotient_order(cut.basis, bond) == 1
+        assert lattice_quotient_order(cut, bond) == 1
         # vectors of a torsion tree fail to generate the lattices
         bonds2, circuits2 = fundamental_vectors(X, torsioned)
         circ2 = Matrix.from_columns(list(circuits2.values()), nrows=X.n_cells(2))
         bond2 = Matrix.from_columns(list(bonds2.values()), nrows=X.n_cells(2))
-        assert lattice_quotient_order(flow.basis, circ2) > 1
-        assert lattice_quotient_order(cut.basis, bond2) > 1
+        assert lattice_quotient_order(flow, circ2) > 1
+        assert lattice_quotient_order(cut, bond2) > 1
 
 
 class TestSequenceOrders:

@@ -66,6 +66,18 @@ class TestHomology:
         with pytest.raises(ValueError):
             homology(k3, 2)
 
+    def test_package_attribute_is_the_module(self):
+        # a function exported under the module's name would hide it, and
+        # patches of cellforest.homology's names would reach nothing
+        import types
+
+        import cellforest
+        import cellforest.homology as h
+
+        assert isinstance(cellforest.homology, types.ModuleType)
+        assert h is cellforest.homology
+        assert h.homology is homology
+
 
 class TestForestPredicates:
     def test_single_facet_is_forest_not_maximal(self, bipyramid):

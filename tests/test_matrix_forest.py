@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +11,8 @@ from cellforest.homology import relative_homology_torsion
 from cellforest.matrix_forest import (
     HypothesisError,
     METHODS,
+    UNWEIGHTED_ONLY,
+    WEIGHT_REQUIRED,
     graph_matrix_tree,
     rooted_forest_polynomial,
     tau,
@@ -22,12 +26,15 @@ from cellforest.matrix_forest import (
     tau_weighted_alternating,
 )
 from cellforest.oracle import (
+    CapExceeded,
     enumerate_forests,
     enumerate_rooted_forests,
     rooted_forest_torsion_sums,
     tau_bruteforce,
     tau_weighted_bruteforce,
 )
+
+from corpus import CORPUS, SEED, random_weights
 
 
 class TestReduced:
@@ -263,27 +270,36 @@ class TestDispatch:
 
 
 class TestCrossMethodAgreement:
-    def test_all_methods_all_instances(self, k3, k4, c4, bipyramid, rp2_cell, rp2_six, moebius, annulus):
-        instances = [
-            k3,
-            k4,
-            c4,
-            bipyramid,
-            rp2_cell,
-            rp2_six,
-            moebius,
-            annulus,
-            simplex_skeleton(5, 2).to_chain_complex(),
-            complete_colorful(2, 2, 2).to_chain_complex(),
-        ]
-        for X in instances:
-            want = tau_bruteforce(X)
-            for name in ("reduced", "pseudodet", "alternating", "covolume", "cobase", "cobase-spectral"):
-                try:
-                    got = METHODS[name](X, None, None).value
-                except HypothesisError:
-                    continue
-                assert got == want, (name, want, got)
+    def test_all_methods_all_instances(self):
+        # every route at every k on CORPUS, unweighted and with seeded
+        # weights, against the oracle; cobase-spectral enumerates cobases, and
+        # one corpus complex has C(19,10) = 92,378 of them at k = 1, so the
+        # route runs under a cap that only that complex exceeds
+        outcomes = Counter()
+        for n, X in enumerate(CORPUS):
+            w = random_weights(random.Random(SEED + n), X)
+            for k in range(1, X.dim + 1):
+                cases = ((None, tau_bruteforce(X, k)), (w, tau_weighted_bruteforce(X, k, w)))
+                for name in METHODS:
+                    for weights, want in cases:
+                        if name in (WEIGHT_REQUIRED if weights is None else UNWEIGHTED_ONLY):
+                            continue
+                        try:
+                            got = tau(X, k, name, weights, cap=20_000).value
+                        except HypothesisError:
+                            outcomes["refused"] += 1
+                            continue
+                        except ValueError as exc:
+                            assert str(exc).startswith("d_0 d_1 != 0"), (n, k, name, exc)
+                            outcomes["d0d1"] += 1
+                            continue
+                        except CapExceeded:
+                            assert name == "cobase-spectral", (n, k, name)
+                            outcomes["capped"] += 1
+                            continue
+                        assert got == want, (n, k, name, weights is not None, want, got)
+                        outcomes["equal"] += 1
+        assert outcomes == {"equal": 383, "refused": 85, "d0d1": 4, "capped": 1}
 
     def test_correction_factors_trivial_when_z_apc(self, bipyramid, k4):
         for X in (bipyramid, k4):
