@@ -130,10 +130,23 @@ def laplacian(X, k, kind="ud"):
 
 
 def _vertex_weights(v):
-    """{vertex: Fraction} from a sequence indexed from vertex 1, or a mapping."""
-    if isinstance(v, dict):
-        return {int(k): Fraction(x) for k, x in v.items()}
-    return {i + 1: Fraction(x) for i, x in enumerate(v)}
+    """{vertex: Fraction} from a sequence indexed from vertex 1, or a mapping.
+
+    Refuses what the ``WeightAssignment`` constructor refuses: a key that is
+    not an ``int``, a value that is not an ``int`` or a ``Fraction`` (``bool``
+    included), and a value that is not positive.
+    """
+    items = v.items() if isinstance(v, dict) else enumerate(v, start=1)
+    weights = {}
+    for vertex, x in items:
+        if type(vertex) is not int:
+            raise ValueError(f"vertex {vertex!r} is not an int")
+        if type(x) is not int and not isinstance(x, Fraction):
+            raise ValueError(f"weight of vertex {vertex} is not an int or a Fraction: {x!r}")
+        if x <= 0:
+            raise ValueError(f"weight of vertex {vertex} must be positive, got {x}")
+        weights[vertex] = Fraction(x)
+    return weights
 
 
 class WeightAssignment:

@@ -132,10 +132,11 @@ def colorful_tree_count_weighted(k, sizes, v):
 def colorful_vertex_weighting(S, sizes, v):
     """WeightAssignment for a compiled complete colorful complex from color weights."""
     ranges = colorful_vertex_ranges(sizes)
+    v = dict(v)
     flat = {}
     for j, rng in enumerate(ranges, start=1):
         for t, vertex in enumerate(rng, start=1):
-            flat[vertex] = Fraction(dict(v)[(j, t)])
+            flat[vertex] = v[(j, t)]
     return WeightAssignment.from_vertex_weights(S, flat)
 
 
@@ -358,8 +359,8 @@ def ferrers_tree_count_weighted(parts, x, y):
 def ferrers_vertex_weighting(G, parts, x, y):
     """WeightAssignment for a compiled Ferrers graph from row/column weights."""
     n = len(parts)
-    flat = {p: Fraction(x[p - 1]) for p in range(1, n + 1)}
-    flat.update({n + q: Fraction(y[q - 1]) for q in range(1, parts[0] + 1)})
+    flat = {p: x[p - 1] for p in range(1, n + 1)}
+    flat.update({n + q: y[q - 1] for q in range(1, parts[0] + 1)})
     return WeightAssignment.from_vertex_weights(G, flat)
 
 

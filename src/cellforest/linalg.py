@@ -26,12 +26,15 @@ Hermite passes until the matrix is diagonal (Kannan-Bachem, SIAM J. Comput.
 An integer kernel is one Hermite pass of [M^T | I], and exact solves read
 their solutions off kernels: no rational Gauss-Jordan loop remains.
 
-The characteristic polynomial is multimodular: Hessenberg reduction modulo
-primes of 62 bits, each proven prime by deterministic Miller-Rabin, with the
-coefficients times the product R of the row denominators rebuilt by the
-Chinese remainder theorem once the modulus exceeds twice a row-wise
-Hadamard-type bound on them.  It costs O(n^3) word-sized operations per
-prime.
+The characteristic polynomial is multimodular (Dumas-Pernet-Wan, ISSAC 2005):
+Hessenberg reduction modulo Mersenne primes 2^e - 1 from a fixed list, so no
+primality test runs here, with the coefficients times the product R of the
+row denominators rebuilt by the Chinese remainder theorem once the modulus
+exceeds twice a row-wise Hadamard-type bound on them.  A pass costs O(n^3)
+operations on integers of the modulus's size; in CPython that costs about the
+same at any modulus up to a few hundred bits and about four times as much at
+1279 bits, so one modulus of at most 4423 bits is taken alone whenever one
+passes the bound (``_moduli``).
 
 Conventions:
 
@@ -428,15 +431,16 @@ def char_poly(M):
     Hessenberg form by similarity transforms, the characteristic polynomial
     is read off by the row recurrence (Cohen, *A Course in Computational
     Algebraic Number Theory*, Alg. 2.2.9), and its coefficients are
-    multiplied by R mod p.  A prime dividing R is skipped.  The residues are
-    combined by the Chinese remainder theorem until the modulus exceeds 2B;
+    multiplied by R mod p.  The primes are Mersenne primes in the order of
+    ``_moduli``, and one dividing R is skipped.  The residues are combined
+    by the Chinese remainder theorem until the modulus exceeds 2B;
     symmetric residues are then exactly R times the coefficients, and are
     divided by R.  An integer matrix has every r_i = 1, so R = 1 and
     B = prod_i (1 + ||row_i||_2).  Each row takes its own lcm, not the lcm s
     of all denominators, because scaling M by s would put s^n in place of R
     and multiply every row norm by s, which costs roughly n*log2(s) more bits
-    of modulus.  The primes are proven (see ``_is_prime``), and the loop
-    stops on the bound alone, never on residues that merely stop changing.
+    of modulus.  The primes are proven (see ``_MERSENNE_EXPONENTS``), and the
+    loop stops on the bound alone, never on residues that merely stop changing.
     """
     if not M.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -453,10 +457,11 @@ def char_poly(M):
     # ascending coefficients of R * det(z*I - M), modulo the product of the primes so far
     residues = None
     modulus = 1
-    i = 0
+    moduli = _moduli(bound)
     while modulus <= 2 * bound:
-        p = _prime(i)
-        i += 1
+        p = next(moduli, None)
+        if p is None:
+            raise ValueError(f"a Hadamard bound of {bound.bit_length()} bits exceeds the listed Mersenne primes")
         if R % p == 0:
             continue
         rows = []
@@ -474,46 +479,37 @@ def char_poly(M):
     return CharPoly(tuple(_canon(Fraction(c - modulus if c > half else c, R)) for c in residues))
 
 
-# Miller-Rabin with the first 13 prime bases has no strong pseudoprime below
-# 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 2017), so for every 62-bit
-# candidate it proves primality.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# the largest primes below 2^62, in descending order, found on first use
-_PRIMES = []
+# Exponents e of the known Mersenne primes 2^e - 1 from 2^61 - 1 to
+# 2^82589933 - 1, each proven prime by the Lucas-Lehmer test (Lehmer, Ann. of
+# Math. 1930).  Their product has about 5.8 * 10^8 bits, so only a matrix of
+# some 70 MB could have a Hadamard bound beyond it.
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+    9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
+    756839, 859433, 1257787, 1398269, 2976221, 3021377, 6972593, 13466917, 20996011,
+    24036583, 25964951, 30402457, 32582657, 37156667, 42643801, 43112609, 57885161,
+    74207281, 77232917, 82589933,
+)
+# Up to this many bits, one pass modulo 2^e - 1 costs less than the e/61
+# passes modulo 2^61 - 1 it replaces: at 4423 bits it costs about 28 of them
+# and replaces 73 (a 66 x 66 Laplacian, CPython 3.11).  So one such modulus is
+# taken alone whenever it passes the bound.
+_SMALL_EXPONENT = 4423
 
 
-def _is_prime(n):
-    """Deterministic primality test, exact for n below 3.3 * 10^24."""
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _moduli(bound):
+    """The Mersenne primes for a CRT that must pass 2 * bound, in the order to try them.
 
-
-def _prime(i):
-    """The i-th largest prime below 2^62."""
-    while len(_PRIMES) <= i:
-        c = (_PRIMES[-1] if _PRIMES else 1 << 62) - 1
-        while not _is_prime(c):
-            c -= 1
-        _PRIMES.append(c)
-    return _PRIMES[i]
+    2^e - 1 > 2 * bound exactly when e exceeds the bit length of bound.  The
+    moduli of at most 4423 bits that pass it alone come first, smallest first;
+    then the other ones of at most 4423 bits from the largest down; then the
+    larger ones from the smallest up.
+    """
+    b = bound.bit_length()
+    small = [e for e in _MERSENNE_EXPONENTS if e <= _SMALL_EXPONENT]
+    order = [e for e in small if e > b] + [e for e in small if e <= b][::-1]
+    order += [e for e in _MERSENNE_EXPONENTS if e > _SMALL_EXPONENT]
+    return ((1 << e) - 1 for e in order)
 
 
 def _hessenberg_char_poly_mod(N, p):

@@ -32,7 +32,6 @@ from cellforest.linalg import (
     _canon as _exactify,
     _eliminate,
     _hessenberg_char_poly_mod,
-    _prime,
     _sparse_columns,
 )
 from cellforest.matrix_forest import TauReport, _require, format_exact
@@ -90,6 +89,49 @@ def faddeev_leverrier(M):
             B = [[sum(a * b for a, b in zip(row, col)) for col in Bcols] for row in N]
     # det(z*I - M) coefficient of z^j is desc[n-j] / scale^(n-j)
     return tuple(_canon(Fraction(desc[n - j], scale ** (n - j))) for j in range(n + 1))
+
+
+# Miller-Rabin with the first 13 prime bases has no strong pseudoprime below
+# 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 2017), so for every 62-bit
+# candidate it proves primality.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the largest primes below 2^62, in descending order, found on first use
+_PRIMES = []
+
+
+def _is_prime(n):
+    """``linalg._is_prime``: deterministic primality test, exact for n below 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(i):
+    """``linalg._prime``: the i-th largest prime below 2^62, the moduli of
+    ``char_poly_common_denominator``."""
+    while len(_PRIMES) <= i:
+        c = (_PRIMES[-1] if _PRIMES else 1 << 62) - 1
+        while not _is_prime(c):
+            c -= 1
+        _PRIMES.append(c)
+    return _PRIMES[i]
 
 
 def char_poly_common_denominator(M):

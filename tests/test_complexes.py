@@ -17,7 +17,12 @@ from cellforest.complexes import (
     weighted_laplacian,
     weighted_laplacian_similar,
 )
-from cellforest.families import hypercube_complex, named_simplicial, simplex_skeleton
+from cellforest.families import (
+    hypercube_complex,
+    named_simplicial,
+    shifted_tree_count_weighted,
+    simplex_skeleton,
+)
 from cellforest.linalg import Matrix, rank
 
 
@@ -148,6 +153,34 @@ class TestWeightedLaplacian:
     def test_exact_weights_kept(self):
         w = WeightAssignment({(0, 1): 3, (1, 0): Fraction(1, 2), (1, 1): Fraction(4, 2)})
         assert dict(w.items()) == {(0, 1): 3, (1, 0): Fraction(1, 2), (1, 1): 2}
+
+    @pytest.mark.parametrize(
+        "v, message",
+        [
+            # Fraction() would read 0.1 as 3602879701896397/36028797018963968,
+            # "1e3" as 1000 and True as 1, and int() the key 1.5 as vertex 1
+            ([0.1, 1, 1], "weight of vertex 1 is not an int or a Fraction: 0.1"),
+            ([1, "1e3", 1], "weight of vertex 2 is not an int or a Fraction: '1e3'"),
+            ([1, 1, True], "weight of vertex 3 is not an int or a Fraction: True"),
+            ([1, 1, Fraction(-1, 2)], "weight of vertex 3 must be positive, got -1/2"),
+            ({1: 1, 1.5: 2, 3: 1}, "vertex 1.5 is not an int"),
+            ({True: 2, 2: 1, 3: 1}, "vertex True is not an int"),
+            ({1: 1, "2": 1, 3: 1}, "vertex '2' is not an int"),
+        ],
+    )
+    def test_inexact_vertex_weights_rejected(self, v, message):
+        S = simplex_skeleton(3, 1)
+        for read in (WeightAssignment.from_vertex_weights, shifted_tree_count_weighted):
+            with pytest.raises(ValueError) as exc:
+                read(S, v)
+            assert str(exc.value) == message
+
+    def test_exact_vertex_weights_kept(self):
+        S = simplex_skeleton(3, 1)
+        for v in ([2, Fraction(1, 2), 3], {1: 2, 2: Fraction(1, 2), 3: 3}):
+            w = WeightAssignment.from_vertex_weights(S, v)
+            assert [w[0, i] for i in range(3)] == [2, Fraction(1, 2), 3]
+            assert [w[1, i] for i in range(3)] == [1, 6, Fraction(3, 2)]
 
 
 class TestRelativeBoundary:

@@ -125,6 +125,13 @@ class TestColorful:
             for k in (1, 2):
                 assert colorful_tree_count_weighted(k, sizes, v) == tau_weighted_bruteforce(X, k, w)
 
+    def test_inexact_vertex_weight_rejected(self):
+        # the weight of color 2's first vertex, which compiles to vertex 3
+        v = {(j, t): 1 for j in (1, 2) for t in (1, 2)}
+        v[(2, 1)] = 0.5
+        with pytest.raises(ValueError, match="^weight of vertex 3 is not an int or a Fraction: 0.5$"):
+            colorful_vertex_weighting(complete_colorful(2, 2), (2, 2), v)
+
 
 class TestHypercube:
     def test_cell_counts(self):
@@ -228,6 +235,14 @@ class TestFerrers:
             y = rational_samples(rng, parts[0])
             w = ferrers_vertex_weighting(G, parts, x, y)
             assert ferrers_tree_count_weighted(parts, x, y) == tau_weighted_bruteforce(X, 1, w)
+
+    def test_inexact_vertex_weight_rejected(self):
+        # rows are vertices 1 and 2, columns 3 and 4
+        G = ferrers_graph((2, 1))
+        with pytest.raises(ValueError, match="^weight of vertex 1 is not an int or a Fraction: 0.1$"):
+            ferrers_vertex_weighting(G, (2, 1), [0.1, 1], [1, 1])
+        with pytest.raises(ValueError, match="^weight of vertex 4 is not an int or a Fraction: True$"):
+            ferrers_vertex_weighting(G, (2, 1), [1, 1], [1, True])
 
 
 class TestMatroids:

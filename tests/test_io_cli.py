@@ -389,6 +389,13 @@ class TestCli:
         assert main(["critical", str(path)]) == 0
         assert capsys.readouterr().out == (GOLDEN / "critical_K8_2.txt").read_text()
 
+    def test_tau_pseudodet_matches_golden_output_on_K12_3(self, tmp_path, capsys):
+        # the 220 x 220 Laplacian L_2 has a char_poly bound of about 790 bits
+        path = tmp_path / "k123.txt"
+        assert main(["gen", "simplex-skeleton", "12", "3", "--out", str(path)]) == 0
+        assert main(["tau", str(path), "--method", "pseudodet"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "tau_K12_3_pseudodet.txt").read_text()
+
     def test_critical_on_the_hypercube_five_two_skeleton(self, tmp_path):
         # a separate interpreter with a timeout, so that a Smith form whose
         # entries explode fails this test instead of hanging the suite
