@@ -54,26 +54,30 @@ def _load_complex(path):
         return cfio.parse_complex(fh.read())
 
 
+def integer(text):
+    """A command-line integer by the file rule (``io._integers``): no ``2_0``, no non-ASCII digit."""
+    (value,) = cfio._integers([text], text)
+    return value
+
+
 def _generate(args):
     family = args.family
     params = args.params
     if family == "simplex-skeleton":
-        n, d = (int(p) for p in params)
+        n, d = map(integer, params)
         return cfio.serialize_complex(simplex_skeleton(n, d))
     if family == "colorful":
-        sizes = [int(p) for p in params]
-        return cfio.serialize_complex(complete_colorful(*sizes))
+        return cfio.serialize_complex(complete_colorful(*map(integer, params)))
     if family == "hypercube":
-        (n,) = (int(p) for p in params)
+        (n,) = map(integer, params)
         return cfio.serialize_complex(hypercube_complex(n))
     if family == "hypercube-skeleton":
-        n, k = (int(p) for p in params)
+        n, k = map(integer, params)
         return cfio.serialize_complex(skeleton(hypercube_complex(n), k))
     if family == "ferrers":
-        parts = [int(p) for p in params]
-        return cfio.serialize_complex(ferrers_graph(parts))
+        return cfio.serialize_complex(ferrers_graph(map(integer, params)))
     if family == "shifted":
-        gens = [tuple(int(v) for v in p.split(",")) for p in params]
+        gens = [tuple(map(integer, p.split(","))) for p in params]
         n = max(v for g in gens for v in g)
         return cfio.serialize_complex(shifted_complex(n, gens))
     if family == "named":
@@ -193,24 +197,24 @@ def build_parser():
 
     p_tau = sub.add_parser("tau", help="count forests by a chosen method")
     p_tau.add_argument("file")
-    p_tau.add_argument("--k", type=int, default=None)
+    p_tau.add_argument("--k", type=integer, default=None)
     p_tau.add_argument("--method", default="reduced", choices=sorted(METHODS) + ["bruteforce"])
     p_tau.add_argument("--weights", default=None)
-    p_tau.add_argument("--seed", type=int, default=None)
-    p_tau.add_argument("--cap", type=int, default=None)
+    p_tau.add_argument("--seed", type=integer, default=None)
+    p_tau.add_argument("--cap", type=integer, default=None)
     p_tau.add_argument("--census", default=None, help="with --method bruteforce: write the census export here")
     p_tau.add_argument("--out", default=None)
     p_tau.set_defaults(fn=cmd_tau)
 
     p_hom = sub.add_parser("homology", help="Betti numbers and torsion")
     p_hom.add_argument("file")
-    p_hom.add_argument("--k", type=int, default=None)
+    p_hom.add_argument("--k", type=integer, default=None)
     p_hom.add_argument("--out", default=None)
     p_hom.set_defaults(fn=cmd_homology)
 
     p_crit = sub.add_parser("critical", help="critical groups and sequence orders")
     p_crit.add_argument("file")
-    p_crit.add_argument("--k", type=int, default=None)
+    p_crit.add_argument("--k", type=integer, default=None)
     p_crit.add_argument("--out", default=None)
     p_crit.set_defaults(fn=cmd_critical)
 
@@ -221,8 +225,8 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=[*SUITES, "all"])
-    p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--cap", type=int, default=None)
+    p_ver.add_argument("--seed", type=integer, default=None)
+    p_ver.add_argument("--cap", type=integer, default=None)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(fn=cmd_verify)
     return parser

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import lcm, prod
 
 from .linalg import Matrix, _sparse_columns
 
@@ -129,24 +129,32 @@ def laplacian(X, k, kind="ud"):
     return Matrix._from_rows(G, len(G), True)
 
 
-def _vertex_weights(v):
-    """{vertex: Fraction} from a sequence indexed from vertex 1, or a mapping.
+def _exact_int(x, what):
+    """``x`` if it is exactly an ``int`` (a bool is not), else ``ValueError``
+    naming ``what`` and ``x``: ``int()`` would read 2.7 as 2 and "3" as 3."""
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an int")
+    return x
 
-    Refuses what the ``WeightAssignment`` constructor refuses: a key that is
-    not an ``int``, a value that is not an ``int`` or a ``Fraction`` (``bool``
-    included), and a value that is not positive.
-    """
+
+def _exact_weight(x, what):
+    """``x`` as a ``Fraction`` if it is a positive ``int`` or ``Fraction`` (a
+    bool is not), else ``ValueError`` naming ``what``: ``Fraction()`` would
+    read 0.1 as 3602879701896397/36028797018963968 and "1e3" as 1000."""
+    if type(x) is not int and not isinstance(x, Fraction):
+        raise ValueError(f"{what} is not an int or a Fraction: {x!r}")
+    if x <= 0:
+        raise ValueError(f"{what} must be positive, got {x}")
+    return Fraction(x)
+
+
+def _vertex_weights(v):
+    """{vertex: Fraction} from a sequence indexed from vertex 1, or a mapping."""
     items = v.items() if isinstance(v, dict) else enumerate(v, start=1)
-    weights = {}
-    for vertex, x in items:
-        if type(vertex) is not int:
-            raise ValueError(f"vertex {vertex!r} is not an int")
-        if type(x) is not int and not isinstance(x, Fraction):
-            raise ValueError(f"weight of vertex {vertex} is not an int or a Fraction: {x!r}")
-        if x <= 0:
-            raise ValueError(f"weight of vertex {vertex} must be positive, got {x}")
-        weights[vertex] = Fraction(x)
-    return weights
+    return {
+        _exact_int(vertex, "vertex"): _exact_weight(x, f"weight of vertex {vertex}")
+        for vertex, x in items
+    }
 
 
 class WeightAssignment:
@@ -158,15 +166,12 @@ class WeightAssignment:
     def __init__(self, values):
         weights = {}
         for key, v in dict(values).items():
-            dim, idx = key
-            if type(dim) is not int or type(idx) is not int:
-                raise ValueError(f"weight key {key!r} is not a pair of ints")
-            if type(v) is not int and not isinstance(v, Fraction):
-                raise ValueError(f"weight at {key!r} is not an int or a Fraction: {v!r}")
-            w = Fraction(v)
-            if w <= 0:
-                raise ValueError(f"weight at {key} must be positive, got {w}")
-            weights[(dim, idx)] = w
+            try:
+                dim, idx = key
+                key = (_exact_int(dim, "dim"), _exact_int(idx, "index"))
+            except ValueError:
+                raise ValueError(f"weight key {key!r} is not a pair of ints") from None
+            weights[key] = _exact_weight(v, f"weight at {key}")
         self._weights = weights
 
     @classmethod
@@ -181,14 +186,11 @@ class WeightAssignment:
         from vertex 1, or a mapping).
         """
         vw = _vertex_weights(v)
-        values = {}
-        for k, layer in enumerate(S.faces_by_dim()):
-            for i, face in enumerate(layer):
-                w = Fraction(1)
-                for vertex in face:
-                    w *= vw[vertex]
-                values[(k, i)] = w
-        return cls(values)
+        return cls({
+            (k, i): prod(vw[u] for u in face)
+            for k, layer in enumerate(S.faces_by_dim())
+            for i, face in enumerate(layer)
+        })
 
     def __getitem__(self, key):
         dim, idx = key
@@ -208,11 +210,7 @@ class WeightAssignment:
 
     def reciprocal_for_dual(self, X):
         """Dual weighting: the dual of the i-th k-cell gets weight 1/w."""
-        d = X.dim
-        values = {}
-        for (k, i), w in self._weights.items():
-            values[(d - k, i)] = Fraction(1) / w
-        return WeightAssignment(values)
+        return WeightAssignment({(X.dim - k, i): 1 / w for (k, i), w in self._weights.items()})
 
 
 def _gram(b, weights=None):
@@ -226,9 +224,7 @@ def _gram(b, weights=None):
     """
     if weights is None:
         weights = (1,) * b.ncols
-    q = 1
-    for x in weights:
-        q = q * x.denominator // gcd(q, x.denominator)
+    q = lcm(*(x.denominator for x in weights))
     G = [{} for _ in range(b.nrows)]
     for x, col in zip(weights, _sparse_columns(b)):
         wq = x.numerator * (q // x.denominator)
@@ -272,11 +268,8 @@ def split_cells(X, k, cells):
     not), lies outside 0..n-1 or is given twice raises ``ValueError`` naming
     it."""
     n = X.n_cells(k)
-    cells = tuple(cells)
-    for i in cells:
-        if type(i) is not int:
-            raise ValueError(f"{k}-cell index {i!r} is not an int")
-    chosen = tuple(sorted(cells))
+    what = f"{k}-cell index"
+    chosen = tuple(sorted([_exact_int(i, what) for i in cells]))
     # sorted, so the extremes decide the range
     for i in chosen[:1] + chosen[-1:]:
         if not 0 <= i < n:
@@ -379,7 +372,7 @@ def from_facets(n, facets):
     """Facet-generated complex; contained facets are discarded."""
     cleaned = []
     for f in facets:
-        fs = frozenset(int(v) for v in f)
+        fs = frozenset(_exact_int(v, "vertex") for v in f)
         if not fs:
             raise ValueError("facets must be nonempty")
         for v in fs:
@@ -426,7 +419,7 @@ def simplicial_skeleton(S, k):
 
 def delete_and_link(S, v):
     """Deletion (faces avoiding v) and link (faces whose union with v is a face)."""
-    v = int(v)
+    v = _exact_int(v, "vertex")
     deletion = []
     link = []
     for layer in S.faces_by_dim():

@@ -22,6 +22,8 @@ from .linalg import Matrix
 from .complexes import (
     ChainComplex,
     WeightAssignment,
+    _exact_int,
+    _exact_weight,
     _vertex_weights,
     from_facets,
     is_shifted,
@@ -36,6 +38,11 @@ def binom_ext(a, b):
     if b < 0 or a < 0 or b > a:
         return 0
     return comb(a, b)
+
+
+def _weight_list(ws, what):
+    """The exact weights ``ws`` as Fractions, the i-th (from 1) named ``what i``."""
+    return [_exact_weight(w, f"{what} {i}") for i, w in enumerate(ws, start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +66,7 @@ def simplex_tree_count(n, d):
 
 def simplex_tree_count_weighted(n, d, v):
     """Vertex-weighted count: (prod v)^C(n-2,d-1) (sum v)^C(n-2,d)."""
-    v = [Fraction(x) for x in v]
+    v = _weight_list(v, "weight of vertex")
     if len(v) != n:
         raise ValueError("need one weight per vertex")
     return prod(v) ** binom_ext(n - 2, d - 1) * sum(v) ** binom_ext(n - 2, d)
@@ -111,7 +118,10 @@ def colorful_tree_count_weighted(k, sizes, v):
     r = len(sizes)
     if not 0 <= k <= r - 1:
         raise ValueError(f"k={k} out of range 0..{r - 1}")
-    w = {(int(j), int(t)): Fraction(x) for (j, t), x in dict(v).items()}
+    w = {
+        (_exact_int(j, "color"), _exact_int(t, "position")): _exact_weight(x, f"weight at {(j, t)}")
+        for (j, t), x in dict(v).items()
+    }
     p = {j: prod(w[(j, t)] for t in range(1, sizes[j - 1] + 1)) for j in range(1, r + 1)}
     s = {j: sum(w[(j, t)] for t in range(1, sizes[j - 1] + 1)) for j in range(1, r + 1)}
     value = Fraction(1)
@@ -195,27 +205,19 @@ def hypercube_tree_count(k, n):
 
 def hypercube_weights(n, q, x, y):
     """Cell weights of the n-cube: q on interval coordinates, x/y on endpoints 0/1."""
-    q = [Fraction(t) for t in q]
-    x = [Fraction(t) for t in x]
-    y = [Fraction(t) for t in y]
-    cells = _cube_cells(n)
-    values = {}
-    for k, layer in enumerate(cells):
-        for i, label in enumerate(layer):
-            w = Fraction(1)
-            for pos, ch in enumerate(label):
-                w *= {"I": q[pos], "0": x[pos], "1": y[pos]}[ch]
-            values[(k, i)] = w
-    return WeightAssignment(values)
+    q, x, y = (_weight_list(t, f"weight {name} at coordinate") for name, t in zip("qxy", (q, x, y)))
+    return WeightAssignment({
+        (k, i): prod({"I": q[pos], "0": x[pos], "1": y[pos]}[ch] for pos, ch in enumerate(label))
+        for k, layer in enumerate(_cube_cells(n))
+        for i, label in enumerate(layer)
+    })
 
 
 def hypercube_tree_count_weighted(k, n, q, x, y):
     """Weighted k-tree count of the n-cube (algebraic-weighting closed form)."""
     if k < 1:
         raise ValueError("hypercube tree counts start at k = 1")
-    q = [Fraction(t) for t in q]
-    x = [Fraction(t) for t in x]
-    y = [Fraction(t) for t in y]
+    q, x, y = (_weight_list(t, f"weight {name} at coordinate") for name, t in zip("qxy", (q, x, y)))
     q_exp = sum(binom_ext(n - 1, i) * binom_ext(i - 1, k - 2) for i in range(k - 1, n))
     value = prod(q) ** q_exp
     for size in range(k + 1, n + 1):
@@ -237,7 +239,7 @@ def shifted_complex(n, generators):
     Faces are closed under taking subsets and under decrementing a single
     vertex; the result must be pure (all maximal faces the same size).
     """
-    gens = [tuple(sorted(set(int(v) for v in g))) for g in generators]
+    gens = [tuple(sorted({_exact_int(v, "vertex") for v in g})) for g in generators]
     if not gens:
         raise ValueError("need at least one generating facet")
     for g in gens:
@@ -344,8 +346,8 @@ def ferrers_tree_count_weighted(parts, x, y):
     """
     parts = list(parts)
     conj = conjugate_partition(parts)
-    x = [Fraction(t) for t in x]
-    y = [Fraction(t) for t in y]
+    x = _weight_list(x, "weight of row")
+    y = _weight_list(y, "weight of column")
     if len(x) != len(parts) or len(y) != parts[0]:
         raise ValueError("need one x per row and one y per column")
     value = prod(x) * prod(y)

@@ -49,7 +49,7 @@ def homology(X, k):
     else:
         factors = ()
         betti = nullity
-    return HomologySummary(k, betti, prod(factors) if factors else 1, factors)
+    return HomologySummary(k, betti, prod(factors), factors)
 
 
 def betti(X, k):

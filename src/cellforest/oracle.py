@@ -315,9 +315,9 @@ def _defect_context(X, k):
     return bk, nullity, saturation_basis(b)
 
 
-def _kernel_defect(bk, nullity, sat, outside):
+def _kernel_defect(bk, nullity, sat, outside, sub=None):
     """Index in ker d_k of the lattice sat + (kernel avoiding the cobase), given
-    the ascending k-cells ``outside`` the cobase.
+    the ascending k-cells ``outside`` the cobase and d_k on them (``sub``) if built.
 
     ker d_k is saturated, so for generators of full rank inside it the index
     is the product of their invariant factors.  ``sat`` is ``None`` when it
@@ -325,7 +325,7 @@ def _kernel_defect(bk, nullity, sat, outside):
     """
     if sat is None:
         return 1
-    sub = bk.submatrix(range(bk.nrows), outside)
+    sub = bk.submatrix(range(bk.nrows), outside) if sub is None else sub
     lifted = []
     for col in kernel_lattice_basis(sub).columns():
         v = [0] * bk.ncols
@@ -364,7 +364,8 @@ def cobase_defect_enumerator(X, k, cap=None):
     total = 0
     for cobase in enumerate_cobases(X, k, cap):
         _, root = split_cells(X, k, cobase)
-        t_root = torsion_order(bk.submatrix(range(bk.nrows), root))
-        defect = _kernel_defect(bk, nullity, sat, root)
+        sub = bk.submatrix(range(bk.nrows), root)
+        t_root = torsion_order(sub)
+        defect = _kernel_defect(bk, nullity, sat, root, sub)
         total += t_root * t_root * defect * defect
     return total
