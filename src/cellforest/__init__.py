@@ -24,7 +24,6 @@ from .linalg import (
     det,
     invariant_factors,
     kernel_lattice_basis,
-    lattice_quotient_order,
     pseudodet,
     rank,
     smith_normal_form,

@@ -110,6 +110,18 @@ def colorful_tree_count(k, sizes):
     return total
 
 
+def _colorful_weights(sizes, v):
+    """The mapping v of (color, position) to weight, its keys read as exact ints,
+    after checking that it holds every (color, position) of ``sizes``."""
+    w = {(_exact_int(j, "color"), _exact_int(t, "position")): x for (j, t), x in dict(v).items()}
+    missing = [
+        (j, t) for j, s in enumerate(sizes, start=1) for t in range(1, s + 1) if (j, t) not in w
+    ]
+    if missing:
+        raise ValueError("no weight at (color, position) " + ", ".join(map(str, missing)))
+    return w
+
+
 def colorful_tree_count_weighted(k, sizes, v):
     """Vertex-weighted colorful count; v maps (color, position) to a weight.
 
@@ -118,10 +130,7 @@ def colorful_tree_count_weighted(k, sizes, v):
     r = len(sizes)
     if not 0 <= k <= r - 1:
         raise ValueError(f"k={k} out of range 0..{r - 1}")
-    w = {
-        (_exact_int(j, "color"), _exact_int(t, "position")): _exact_weight(x, f"weight at {(j, t)}")
-        for (j, t), x in dict(v).items()
-    }
+    w = {key: _exact_weight(x, f"weight at {key}") for key, x in _colorful_weights(sizes, v).items()}
     p = {j: prod(w[(j, t)] for t in range(1, sizes[j - 1] + 1)) for j in range(1, r + 1)}
     s = {j: sum(w[(j, t)] for t in range(1, sizes[j - 1] + 1)) for j in range(1, r + 1)}
     value = Fraction(1)
@@ -141,12 +150,12 @@ def colorful_tree_count_weighted(k, sizes, v):
 
 def colorful_vertex_weighting(S, sizes, v):
     """WeightAssignment for a compiled complete colorful complex from color weights."""
-    ranges = colorful_vertex_ranges(sizes)
-    v = dict(v)
-    flat = {}
-    for j, rng in enumerate(ranges, start=1):
-        for t, vertex in enumerate(rng, start=1):
-            flat[vertex] = v[(j, t)]
+    w = _colorful_weights(sizes, v)
+    flat = {
+        vertex: w[(j, t)]
+        for j, rng in enumerate(colorful_vertex_ranges(sizes), start=1)
+        for t, vertex in enumerate(rng, start=1)
+    }
     return WeightAssignment.from_vertex_weights(S, flat)
 
 
@@ -203,9 +212,20 @@ def hypercube_tree_count(k, n):
     return prod((2 * j) ** (comb(n, j) * binom_ext(j - 2, k - 1)) for j in range(k + 1, n + 1))
 
 
+def _cube_weights(n, q, x, y):
+    """The exact weights q, x, y of the n-cube as lists of Fractions, n of each."""
+    lists = []
+    for name, ws in zip("qxy", (q, x, y)):
+        ws = _weight_list(ws, f"weight {name} at coordinate")
+        if len(ws) != n:
+            raise ValueError(f"need one weight {name} per coordinate: got {len(ws)} for n = {n}")
+        lists.append(ws)
+    return lists
+
+
 def hypercube_weights(n, q, x, y):
     """Cell weights of the n-cube: q on interval coordinates, x/y on endpoints 0/1."""
-    q, x, y = (_weight_list(t, f"weight {name} at coordinate") for name, t in zip("qxy", (q, x, y)))
+    q, x, y = _cube_weights(n, q, x, y)
     return WeightAssignment({
         (k, i): prod({"I": q[pos], "0": x[pos], "1": y[pos]}[ch] for pos, ch in enumerate(label))
         for k, layer in enumerate(_cube_cells(n))
@@ -217,7 +237,7 @@ def hypercube_tree_count_weighted(k, n, q, x, y):
     """Weighted k-tree count of the n-cube (algebraic-weighting closed form)."""
     if k < 1:
         raise ValueError("hypercube tree counts start at k = 1")
-    q, x, y = (_weight_list(t, f"weight {name} at coordinate") for name, t in zip("qxy", (q, x, y)))
+    q, x, y = _cube_weights(n, q, x, y)
     q_exp = sum(binom_ext(n - 1, i) * binom_ext(i - 1, k - 2) for i in range(k - 1, n))
     value = prod(q) ** q_exp
     for size in range(k + 1, n + 1):

@@ -743,6 +743,9 @@ def saturation_basis(M):
     return kernel_lattice_basis(W.transpose())
 
 
+# No route of the package solves a system or takes a quotient order any more.
+# These two stay only because benchmarks/test_benchmarks.py requires every name
+# in the tracer's metric tables (benchmarks/tracer.py) to exist.
 def solve_matrix(A, B):
     """Solve A*X = B exactly; A must have full column rank and the system be consistent.
 

@@ -173,39 +173,34 @@ def tau_reduced(X, root=None, weights=None):
     )
 
 
-def _codim2_homology(X, k):
-    """(beta_{k-2}, t_{k-2}) from one homology pass (a rank and a Smith form),
-    where ``betti`` and ``torsion`` would take two ranks and a Smith form."""
-    if k < 2:
-        return 0, 1
-    h = homology(X, k - 2)
-    return h.betti, h.torsion_order
-
-
-def _eigen_level(X, k, level_factor, formula):
-    """Level k of the eigenvalue-product recursion, grounded at tau_{-1} = 1:
-    tau_k = t_{k-2}^2 * level_factor(k) / tau_{k-1}.
+def _eigen_levels(X, level_factor, formula):
+    """The eigenvalue-product recursion tau_k = t_{k-2}^2 * level_factor(k) / tau_{k-1}
+    for k = 0..d, grounded at tau_{-1} = 1.
 
     ``level_factor(k)`` is the pseudodeterminant of the level's (possibly
     weighted) Laplacian on the (k-1)-cells, times any weight monomial; at
-    k = 0 that Laplacian is the 1x1 augmentation one.  Hypotheses are checked
-    top down, each naming ``formula``.  Returns (tau_k, level factor, t_{k-2},
-    tau_{k-1}).
+    k = 0 that Laplacian is the 1x1 augmentation one.  Every hypothesis is
+    checked, naming ``formula``, before the first level factor is taken:
+    beta_{d-1}, then one homology pass (a rank and a Smith form) per
+    k = d-2 down to 0, which also gives t_k.  The factors are then taken top
+    down.  Returns (tau_d, level factor d, t_{d-2}, tau_{d-1}).
     """
-    if k == -1:
-        return 1, 1, 1, 1
+    d = X.dim
     _require(
-        betti(X, k - 1) == 0,
-        f"beta_{k-1}(X) != 0: {formula} needs vanishing codim-1 homology",
+        betti(X, d - 1) == 0,
+        f"beta_{d-1}(X) != 0: {formula} needs vanishing codim-1 homology",
     )
-    beta, t_x = _codim2_homology(X, k)
-    _require(
-        beta == 0,
-        f"beta_{k-2}(X) != 0: {formula} needs vanishing codim-2 homology",
-    )
-    lam = level_factor(k)
-    below = _eigen_level(X, k - 1, level_factor, formula)[0]
-    return _canon(Fraction(t_x * t_x) * lam / below), lam, t_x, below
+    # t[k] = t_{k-2}(X), the torsion that level k corrects by
+    t = [1] * (d + 1)
+    for k in range(d - 2, -1, -1):
+        h = homology(X, k)
+        _require(h.betti == 0, f"beta_{k}(X) != 0: {formula} needs vanishing codim-2 homology")
+        t[k + 2] = h.torsion_order
+    lams = [level_factor(k) for k in range(d, -1, -1)][::-1]
+    taus = [1]
+    for k, lam in enumerate(lams):
+        taus.append(_canon(Fraction(t[k] * t[k]) * lam / taus[-1]))
+    return taus[-1], lams[d], t[d], taus[-2]
 
 
 def tau_pseudodet(X, weights=None):
@@ -217,7 +212,7 @@ def tau_pseudodet(X, weights=None):
         # weights apply at the top level only
         return pseudodet(_top_laplacian(X, weights) if k == d else laplacian(X, k - 1, "ud"))
 
-    value, lam, t_x, below = _eigen_level(X, d, level_factor, "eigenvalue-product formula")
+    value, lam, t_x, below = _eigen_levels(X, level_factor, "eigenvalue-product formula")
     return TauReport(
         method="pseudodet",
         k=d,
@@ -373,9 +368,7 @@ def tau_algebraic_weighted(X, weights):
     """
     d = X.dim
     _require(d >= 1, "algebraic weighted formula needs dimension at least 1")
-    value, _, t_x, _ = _eigen_level(
-        X, d, _weighted_level_factor(X, weights), "algebraic weighted formula"
-    )
+    value, _, t_x, _ = _eigen_levels(X, _weighted_level_factor(X, weights), "algebraic weighted formula")
     return TauReport(
         method="algebraic-weighted",
         k=d,

@@ -81,6 +81,12 @@ CORPUS = (
     + conjugated_smith_complexes(random.Random(SEED), 6)
 )
 
+# H_0 = Z/2 under a 2-cell with zero boundary: the corpus has no torsion
+# below codimension 1
+TORSION_BELOW = ChainComplex.create(
+    (("a", "b"), ("e",), ("f",)), (Matrix([[2], [-2]]), Matrix([[0]]))
+)
+
 
 # ---------------------------------------------------------------------------
 # matrices

@@ -16,7 +16,7 @@ from cellforest.complexes import (
     weighted_laplacian,
     weighted_laplacian_similar,
 )
-from cellforest.homology import betti, torsion
+from cellforest.homology import betti, homology, torsion
 from cellforest.linalg import (
     CharPoly,
     Matrix,
@@ -34,7 +34,13 @@ from cellforest.linalg import (
     _hessenberg_char_poly_mod,
     _sparse_columns,
 )
-from cellforest.matrix_forest import TauReport, _require, format_exact
+from cellforest.matrix_forest import (
+    TauReport,
+    _require,
+    _top_laplacian,
+    _weighted_level_factor,
+    format_exact,
+)
 from cellforest.oracle import ForestCensus, RootedForest, _check_cap
 
 
@@ -1002,3 +1008,80 @@ def tau_weighted_alternating_by_own_loop(X, weights):
         lam = pseudodet(weighted_laplacian_similar(X, k + 1, weights))
         value *= Fraction(lam) ** ((-1) ** (d - k - 1))
     return TauReport(method="weighted-alternating", k=d, value=_exactify(value))
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalue-product recursion, one level per call
+# ---------------------------------------------------------------------------
+
+
+def _codim2_homology(X, k):
+    """(beta_{k-2}, t_{k-2}) from one homology pass (a rank and a Smith form),
+    where ``betti`` and ``torsion`` would take two ranks and a Smith form."""
+    if k < 2:
+        return 0, 1
+    h = homology(X, k - 2)
+    return h.betti, h.torsion_order
+
+
+def _eigen_level(X, k, level_factor, formula):
+    """Level k of the eigenvalue-product recursion, grounded at tau_{-1} = 1:
+    tau_k = t_{k-2}^2 * level_factor(k) / tau_{k-1}.
+
+    ``level_factor(k)`` is the pseudodeterminant of the level's (possibly
+    weighted) Laplacian on the (k-1)-cells, times any weight monomial; at
+    k = 0 that Laplacian is the 1x1 augmentation one.  Hypotheses are checked
+    top down, each naming ``formula``.  Returns (tau_k, level factor, t_{k-2},
+    tau_{k-1}).
+    """
+    if k == -1:
+        return 1, 1, 1, 1
+    _require(
+        betti(X, k - 1) == 0,
+        f"beta_{k-1}(X) != 0: {formula} needs vanishing codim-1 homology",
+    )
+    beta, t_x = _codim2_homology(X, k)
+    _require(
+        beta == 0,
+        f"beta_{k-2}(X) != 0: {formula} needs vanishing codim-2 homology",
+    )
+    lam = level_factor(k)
+    below = _eigen_level(X, k - 1, level_factor, formula)[0]
+    return _exactify(Fraction(t_x * t_x) * lam / below), lam, t_x, below
+
+
+def tau_pseudodet_by_recursion(X, weights=None):
+    """``matrix_forest.tau_pseudodet`` through the recursive ``_eigen_level``,
+    which takes the top pseudodeterminant before checking the lower levels."""
+    d = X.dim
+    _require(d >= 1, "eigenvalue-product formula needs dimension at least 1")
+
+    def level_factor(k):
+        # weights apply at the top level only
+        return pseudodet(_top_laplacian(X, weights) if k == d else laplacian(X, k - 1, "ud"))
+
+    value, lam, t_x, below = _eigen_level(X, d, level_factor, "eigenvalue-product formula")
+    return TauReport(
+        method="pseudodet",
+        k=d,
+        value=value,
+        corrections=((f"t{d-2}(X)", t_x), (f"tau{d-1}(X)", below)),
+        details=(("pseudodet", format_exact(lam)),),
+        hypotheses=(f"beta_{d-1}(X)=0", f"beta_{d-2}(X)=0"),
+    )
+
+
+def tau_algebraic_weighted_by_recursion(X, weights):
+    """``matrix_forest.tau_algebraic_weighted`` through the recursive ``_eigen_level``."""
+    d = X.dim
+    _require(d >= 1, "algebraic weighted formula needs dimension at least 1")
+    value, _, t_x, _ = _eigen_level(
+        X, d, _weighted_level_factor(X, weights), "algebraic weighted formula"
+    )
+    return TauReport(
+        method="algebraic-weighted",
+        k=d,
+        value=value,
+        corrections=((f"t{d-2}(X)", t_x),),
+        hypotheses=(f"beta_{d-1}(X)=0", f"beta_{d-2}(X)=0"),
+    )

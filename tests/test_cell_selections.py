@@ -11,7 +11,6 @@ import random
 import pytest
 
 from cellforest.complexes import (
-    ChainComplex,
     boundary_matrix,
     relative_boundary,
     skeleton,
@@ -20,7 +19,7 @@ from cellforest.complexes import (
 from cellforest.critical import fundamental_vectors
 from cellforest.families import named_complex
 from cellforest.homology import forest_torsion, relative_homology_torsion
-from cellforest.linalg import Matrix, greedy_row_basis
+from cellforest.linalg import greedy_row_basis
 from cellforest.matrix_forest import (
     HypothesisError,
     tau_alternating,
@@ -30,7 +29,7 @@ from cellforest.matrix_forest import (
 )
 from cellforest.oracle import cobase_kernel_defect, count_orientations, tau_bruteforce
 
-from corpus import CORPUS, SEED, random_weights
+from corpus import CORPUS, SEED, TORSION_BELOW, random_weights
 from frozen import tau_alternating_by_own_loop, tau_weighted_alternating_by_own_loop
 
 
@@ -96,13 +95,6 @@ def _outcome(route, X):
     except ValueError as exc:
         return type(exc), str(exc)
     return report.render(), type(report.value)
-
-
-# H_0 = Z/2 under a 2-cell with zero boundary: the corpus has no torsion
-# below codimension 1
-TORSION_BELOW = ChainComplex.create(
-    (("a", "b"), ("e",), ("f",)), (Matrix([[2], [-2]]), Matrix([[0]]))
-)
 
 
 def test_the_alternating_loop_matches_the_frozen_loops():

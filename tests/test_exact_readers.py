@@ -17,6 +17,8 @@ from cellforest.cli import main
 from cellforest.complexes import delete_and_link, from_facets
 from cellforest.families import (
     colorful_tree_count_weighted,
+    colorful_vertex_weighting,
+    complete_colorful,
     ferrers_tree_count_weighted,
     hypercube_complex,
     hypercube_tree_count_weighted,
@@ -94,6 +96,47 @@ CASES = [
 def test_an_inexact_or_nonpositive_weight_is_refused(call, t, message):
     with pytest.raises(ValueError) as exc:
         call(t)
+    assert str(exc.value) == message
+
+
+# both colorful readers, called with a mapping of (color, position) to weight
+# on the complete colorful complex with two colors of two vertices
+COLORFUL_READERS = {
+    "colorful_tree_count_weighted": lambda v: colorful_tree_count_weighted(1, (2, 2), v),
+    "colorful_vertex_weighting": lambda v: colorful_vertex_weighting(complete_colorful(2, 2), (2, 2), v),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(COLORFUL_READERS))
+def test_a_colorful_key_is_read_exactly_and_a_missing_one_named(reader):
+    call = COLORFUL_READERS[reader]
+    # (1.0, 1) and (1, 2.0) hash as (1, 1) and (1, 2), so a lookup would take them
+    for v, message in (
+        ({(1.0, 1): 2, (1, 2.0): 1, (2, 1): 1, (2, 2): 1}, "color 1.0 is not an int"),
+        ({(1, 1): 2, (1, 2.0): 1, (2, 1): 1, (2, 2): 1}, "position 2.0 is not an int"),
+        ({(1, 1): 2, (2, 2): 1}, "no weight at (color, position) (1, 2), (2, 1)"),
+        ({(1, 1): 2, (1, 2): 1, (2, 1): 1, (3, 1): 1}, "no weight at (color, position) (2, 2)"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call(v)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hypercube_tree_count_weighted(1, 2, [1, 1, 5], [1, 1, 1], [1, 1, 1]),
+         "need one weight q per coordinate: got 3 for n = 2"),
+        (lambda: hypercube_tree_count_weighted(2, 3, [1, 1, 1], [1, 1], [1, 1, 1]),
+         "need one weight x per coordinate: got 2 for n = 3"),
+        (lambda: hypercube_weights(2, [1], [1], [1]), "need one weight q per coordinate: got 1 for n = 2"),
+        (lambda: hypercube_weights(2, [1, 1], [1, 1], [1, 1, 1]),
+         "need one weight y per coordinate: got 3 for n = 2"),
+    ],
+)
+def test_a_hypercube_needs_one_weight_of_each_kind_per_coordinate(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
     assert str(exc.value) == message
 
 

@@ -22,6 +22,8 @@ from cellforest.linalg import (
     torsion_order,
 )
 
+from frozen import lattice_quotient_order_by_gauss_jordan, solve_by_gauss_jordan
+
 # boundary of the triangle graph on vertices 1,2,3 with edges 12,13,23
 D1_K3 = Matrix([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
 L0_K3 = Matrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
@@ -264,11 +266,11 @@ class TestLattices:
             assert rank(H) == H.ncols == rank(A)
             # each generator lies in each lattice: quotient orders are 1 both ways
             if H.ncols:
-                assert lattice_quotient_order(H, A) in (1, None)
+                assert lattice_quotient_order_by_gauss_jordan(H, A) in (1, None)
                 cols_a = [A.column(j) for j in range(A.ncols) if any(A.column(j))]
                 if cols_a:
                     Anz = Matrix.from_columns(cols_a, nrows=m)
-                    coords = solve_matrix(H, Anz)
+                    coords = solve_by_gauss_jordan(H, Anz)
                     assert coords.is_integral
 
     def test_kernel_basis(self):

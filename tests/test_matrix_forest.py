@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from cellforest import matrix_forest
 from cellforest.complexes import WeightAssignment, dual_complex, from_facets, skeleton
 from cellforest.families import complete_colorful, hypercube_complex, simplex_skeleton
 from cellforest.homology import relative_homology_torsion
@@ -34,7 +35,20 @@ from cellforest.oracle import (
     tau_weighted_bruteforce,
 )
 
-from corpus import CORPUS, SEED, random_weights
+from corpus import CORPUS, SEED, TORSION_BELOW, random_weights
+from frozen import tau_algebraic_weighted_by_recursion, tau_pseudodet_by_recursion
+
+# two disjoint solid tetrahedra: beta_2 = beta_1 = 0 but beta_0 = 1
+TETRAHEDRA = from_facets(8, [{1, 2, 3, 4}, {5, 6, 7, 8}]).to_chain_complex()
+
+
+def _outcome(route, X):
+    """A route's rendered report and value type, or its refusal."""
+    try:
+        report = route(X)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return report.render(), type(report.value)
 
 
 class TestReduced:
@@ -112,6 +126,50 @@ class TestPseudodet:
                 with pytest.raises(HypothesisError) as exc:
                     route()
                 assert str(exc.value) == f"beta_{beta}(X) != 0: {formula} needs vanishing {codim} homology"
+
+    def test_the_level_loop_matches_the_frozen_recursion(self):
+        rng = random.Random(SEED)
+        outcomes = []
+        for X in CORPUS + [TORSION_BELOW, TETRAHEDRA]:
+            for k in range(X.dim + 1):
+                Xk = skeleton(X, k)
+                w = random_weights(rng, Xk)
+                pairs = (
+                    (tau_pseudodet, tau_pseudodet_by_recursion),
+                    (
+                        lambda Y: tau_pseudodet(Y, weights=w),
+                        lambda Y: tau_pseudodet_by_recursion(Y, weights=w),
+                    ),
+                    (
+                        lambda Y: tau_algebraic_weighted(Y, w),
+                        lambda Y: tau_algebraic_weighted_by_recursion(Y, w),
+                    ),
+                )
+                for new, old in pairs:
+                    got = _outcome(new, Xk)
+                    assert got == _outcome(old, Xk)
+                    outcomes.append(got)
+        # values and every kind of refusal: dimension, codim-1 and codim-2 homology
+        assert sum(isinstance(g[0], str) for g in outcomes) >= 30
+        for end in ("dimension at least 1", "codim-1 homology", "codim-2 homology"):
+            assert any(g[0] is HypothesisError and g[1].endswith(end) for g in outcomes)
+        assert any(g[0] is HypothesisError and g[1].startswith("beta_0(X)") for g in outcomes)
+
+    def test_every_hypothesis_is_checked_before_the_first_pseudodet(self, monkeypatch):
+        shapes = []
+        real = matrix_forest.pseudodet
+        monkeypatch.setattr(matrix_forest, "pseudodet", lambda M: shapes.append(M.shape) or real(M))
+        w = WeightAssignment.ones(TETRAHEDRA)
+        for route, formula in (
+            (lambda: tau_pseudodet(TETRAHEDRA), "eigenvalue-product formula"),
+            (lambda: tau_algebraic_weighted(TETRAHEDRA, w), "algebraic weighted formula"),
+        ):
+            with pytest.raises(HypothesisError) as exc:
+                route()
+            assert str(exc.value) == f"beta_0(X) != 0: {formula} needs vanishing codim-2 homology"
+        assert shapes == []
+        assert tau_pseudodet(simplex_skeleton(5, 3).to_chain_complex()).value == 5
+        assert shapes == [(10, 10), (10, 10), (5, 5), (1, 1)]
 
 
 class TestAlternating:

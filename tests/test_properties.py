@@ -29,9 +29,10 @@ from cellforest.linalg import (
     kernel_lattice_basis,
     rank,
     smith_normal_form,
-    solve_matrix,
 )
 from cellforest.oracle import enumerate_forests, tau_bruteforce
+
+from frozen import solve_by_gauss_jordan
 
 
 def family_instances():
@@ -181,7 +182,7 @@ class TestTorsionTwoRoutes:
         lookup = dict(census.forests)
         for facets in samples:
             cols = b2.submatrix(range(b2.nrows), facets)
-            coords = solve_matrix(kernel, cols)
+            coords = solve_by_gauss_jordan(kernel, cols)
             assert coords.is_integral
             t = prod(f for f in invariant_factors(coords) if f > 1)
             assert t == lookup[facets]
