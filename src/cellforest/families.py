@@ -112,13 +112,15 @@ def colorful_tree_count(k, sizes):
 
 def _colorful_weights(sizes, v):
     """The mapping v of (color, position) to weight, its keys read as exact ints,
-    after checking that it holds every (color, position) of ``sizes``."""
+    after checking that its keys are exactly the (color, position) of ``sizes``."""
     w = {(_exact_int(j, "color"), _exact_int(t, "position")): x for (j, t), x in dict(v).items()}
-    missing = [
-        (j, t) for j, s in enumerate(sizes, start=1) for t in range(1, s + 1) if (j, t) not in w
-    ]
+    keys = [(j, t) for j, s in enumerate(sizes, start=1) for t in range(1, s + 1)]
+    missing = [key for key in keys if key not in w]
     if missing:
         raise ValueError("no weight at (color, position) " + ", ".join(map(str, missing)))
+    if len(w) > len(keys):
+        extra = sorted(set(w).difference(keys))
+        raise ValueError("no color class holds (color, position) " + ", ".join(map(str, extra)))
     return w
 
 
@@ -359,6 +361,12 @@ def ferrers_graph(parts):
     return from_facets(n + m, facets)
 
 
+def _check_ferrers_lengths(parts, x, y):
+    """Refuse x and y unless they hold one weight per row and per column of ``parts``."""
+    if len(x) != len(parts) or len(y) != parts[0]:
+        raise ValueError("need one x per row and one y per column")
+
+
 def ferrers_tree_count_weighted(parts, x, y):
     """Weighted spanning tree count of a Ferrers graph.
 
@@ -368,8 +376,7 @@ def ferrers_tree_count_weighted(parts, x, y):
     conj = conjugate_partition(parts)
     x = _weight_list(x, "weight of row")
     y = _weight_list(y, "weight of column")
-    if len(x) != len(parts) or len(y) != parts[0]:
-        raise ValueError("need one x per row and one y per column")
+    _check_ferrers_lengths(parts, x, y)
     value = prod(x) * prod(y)
     for p in range(1, len(parts)):
         value *= sum(y[: parts[p]])
@@ -380,6 +387,7 @@ def ferrers_tree_count_weighted(parts, x, y):
 
 def ferrers_vertex_weighting(G, parts, x, y):
     """WeightAssignment for a compiled Ferrers graph from row/column weights."""
+    _check_ferrers_lengths(parts, x, y)
     n = len(parts)
     flat = {p: x[p - 1] for p in range(1, n + 1)}
     flat.update({n + q: y[q - 1] for q in range(1, parts[0] + 1)})

@@ -7,10 +7,14 @@ carrying a nonsingular square submatrix.  These routines are the oracle that
 every determinant and eigenvalue formula is tested against, so they stay
 literal and visit every forest, cobase and rooted forest.  A depth-first
 search finds them: it branches over the sparse elimination step of
-``linalg`` and brings one nonzero maximal minor to each leaf.  It leaves a
-node at its first child without a leaf, because no later sibling has one
-either: the candidates from position p on span a rank that only falls as p
-grows.  The +-1 certificate (torsion is the gcd of the maximal minors, so a
+``linalg`` and brings one nonzero maximal minor to each leaf.  One generator
+runs it on an explicit stack of frames, so its depth is not bound by the
+recursion limit; a node two short of a leaf pushes no frame and yields the
+survivors of each elimination as leaves.  The search leaves a node at its
+first child without a leaf, because no later sibling has one either: the
+candidates from position p on span a rank that only falls as p grows.  A
+child with fewer candidates than it needs is known dead before it is pushed.
+The +-1 certificate (torsion is the gcd of the maximal minors, so a
 unit minor proves it 1) lives in ``linalg.invariant_factors``, so cobase
 roots and kernel defects skip the Smith form too; census leaves read it off
 their own minor.
@@ -97,34 +101,59 @@ def _independent_subsets(cols, size):
     det of the subset on P is the product of pivot*g/a; unit pivots come
     first, to keep that minor at 1.  The leftmost path is ``linalg._greedy_path``.
 
+    One generator walks an explicit stack of frames [prefix, candidates, num,
+    den, next position], so the depth of the search is not bound by Python's
+    recursion limit.  A node two short of a leaf pushes no frame: it yields
+    the survivors of each of its eliminations as leaves.
+
     A node that needs ``need`` more columns from its candidates c_0, c_1, ...
     has a leaf below its child on c_p exactly when rank(c_p, c_{p+1}, ...) is
     at least ``need``: c_p is nonzero, so it extends to a basis of their span.
     That rank only falls as p grows, so the node stops at its first child
-    without a leaf.  Each node returns whether it yielded one, and a dead
-    child finds out along its own chain of first children.
+    without a leaf.  A child with fewer candidates than it needs is dead
+    before it is pushed; any other dead child finds out along its own chain of
+    first children, and a node that stops at its first child is dead too.
     """
-
-    def rec(prefix, cands, num, den):
-        need = size - len(prefix)
-        for pos, (j, v, a, g) in enumerate(cands):
-            if len(cands) - pos < need:
-                return pos > 0
+    if size == 0:
+        yield (), 1
+        return
+    cands = [(j, c, 1, 1) for j, c in enumerate(cols) if c]
+    if size == 1:  # the root is the leaf level: each minor is the pivot
+        for j, v, _, _ in cands:
             for pr, pv in v.items():
                 if pv == 1 or pv == -1:
                     break
-            if need == 1:
-                yield prefix + (j,), abs(num * pv * g // (den * a))
-                continue
+            yield (j,), abs(pv)
+        return
+    stack = [[(), cands, 1, 1, 0]]
+    while stack:
+        frame = stack[-1]
+        prefix, cands, num, den, pos = frame
+        need = size - len(prefix)
+        if len(cands) - pos >= need:
+            j, v, a, g = cands[pos]
+            frame[4] = pos + 1
+            for pr, pv in v.items():
+                if pv == 1 or pv == -1:
+                    break
             rest = _eliminate(cands[pos + 1 :], pr, v, pv)
-            found = yield from rec(prefix + (j,), rest, num * pv * g, den * a)
-            if not found:
-                return pos > 0
-        return bool(cands)
-
-    if size == 0:
-        return iter([((), 1)])
-    return rec((), [(j, c, 1, 1) for j, c in enumerate(cols) if c], 1, 1)
+            if len(rest) >= need - 1:
+                prefix, num, den = prefix + (j,), num * pv * g, den * a
+                if need > 2:
+                    stack.append([prefix, rest, num, den, 0])
+                    continue
+                for j, v, a, g in rest:
+                    for pr, pv in v.items():
+                        if pv == 1 or pv == -1:
+                            break
+                    yield prefix + (j,), abs(num * pv * g // (den * a))
+                continue
+        # this frame stops, dead unless a candidate before ``pos`` had a leaf;
+        # a dead child stops its parent in turn
+        found = pos > 0
+        stack.pop()
+        while not found and stack:
+            found = stack.pop()[4] > 1
 
 
 # ---------------------------------------------------------------------------

@@ -706,6 +706,35 @@ def independent_subsets_unpruned(cols, size):
     return rec((), [(j, c, 1, 1) for j, c in enumerate(cols) if c], 1, 1)
 
 
+def independent_subsets_recursive(cols, size):
+    """``oracle._independent_subsets`` as one generator per node, each leaf
+    passed up through a chain of ``yield from``: its depth is bound by the
+    recursion limit.  Each node returns whether it yielded a leaf, and a node
+    stops at its first child without one.
+    """
+
+    def rec(prefix, cands, num, den):
+        need = size - len(prefix)
+        for pos, (j, v, a, g) in enumerate(cands):
+            if len(cands) - pos < need:
+                return pos > 0
+            for pr, pv in v.items():
+                if pv == 1 or pv == -1:
+                    break
+            if need == 1:
+                yield prefix + (j,), abs(num * pv * g // (den * a))
+                continue
+            rest = _eliminate(cands[pos + 1 :], pr, v, pv)
+            found = yield from rec(prefix + (j,), rest, num * pv * g, den * a)
+            if not found:
+                return pos > 0
+        return bool(cands)
+
+    if size == 0:
+        return iter([((), 1)])
+    return rec((), [(j, c, 1, 1) for j, c in enumerate(cols) if c], 1, 1)
+
+
 def cobases_by_combinations(X, k, cap=None):
     """``oracle.enumerate_cobases``: a dense rank per row subset."""
     b = boundary_matrix(X, k + 1)

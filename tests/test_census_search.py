@@ -9,6 +9,7 @@ import pytest
 from cellforest import io as cfio
 from cellforest import oracle
 from cellforest.cli import main
+from cellforest.complexes import from_facets
 from cellforest.families import named_complex, named_simplicial, simplex_skeleton
 from cellforest.homology import betti, homology, torsion
 from cellforest.linalg import _greedy_path, _sparse_columns
@@ -26,6 +27,7 @@ from corpus import CORPUS, SEED, random_sparse_columns
 from frozen import (
     cobases_by_combinations,
     forests_by_combinations,
+    independent_subsets_recursive,
     independent_subsets_unpruned,
     rooted_forests_by_combinations,
     rooted_sums_by_row_sets,
@@ -154,13 +156,52 @@ def test_search_matches_frozen_unpruned_search(monkeypatch):
     assert fewer >= 200
 
 
+def test_search_does_the_work_of_the_frozen_recursive_search(monkeypatch):
+    stack, recursive = counting_eliminate(monkeypatch, oracle), counting_eliminate(monkeypatch, frozen)
+    rng = random.Random(SEED)
+    deep = 0
+    for _ in range(400):
+        cols = random_sparse_columns(rng)
+        r = len(_greedy_path(cols)[0])
+        for size in range(r + 2):
+            stack[0] = recursive[0] = 0
+            # each leaf with the eliminations made before it, then the total:
+            # the same order, minors, work and laziness
+            want = [(leaf, recursive[0]) for leaf in independent_subsets_recursive(cols, size)]
+            assert [(leaf, stack[0]) for leaf in _independent_subsets(cols, size)] == want
+            assert stack[0] == recursive[0]
+            deep += size >= 3 and stack[0] > size - 1
+    # searches that push frames below the root and leave their leftmost path
+    # must occur, or the stack's pops go untested
+    assert deep >= 100
+
+
 def test_census_search_stops_at_the_first_dead_sibling(monkeypatch):
     calls = counting_eliminate(monkeypatch, oracle)
     # past the census cache, which an earlier test may have filled
     census = enumerate_forests.__wrapped__(simplex_skeleton(6, 2).to_chain_complex())
     assert len(census.forests) == 46_620
     # the search without the sibling rule makes 98,601 calls
-    assert 0 < calls[0] <= 66_834
+    assert calls[0] == 66_834
+
+
+def test_census_search_reaches_its_first_leaf_after_one_elimination_per_pivot(monkeypatch):
+    calls = counting_eliminate(monkeypatch, oracle)
+    cols = _sparse_columns(simplex_skeleton(6, 2).to_chain_complex().boundaries[2])
+    search = _independent_subsets(cols, 10)
+    assert calls[0] == 0
+    # each pivot but the last reduces the columns after it, so the first of
+    # ten columns is reached after nine eliminations
+    assert next(search) == ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9), 1)
+    assert calls[0] == 9
+
+
+def test_bruteforce_census_depth_is_not_bound_by_the_recursion_limit(tmp_path, capsys):
+    # the spanning tree of a 1,200-vertex path is one leaf 1,199 pivots deep
+    path = tmp_path / "path.txt"
+    path.write_text(cfio.serialize_complex(from_facets(1200, [{i, i + 1} for i in range(1, 1200)])))
+    assert main(["tau", str(path), "--method", "bruteforce"]) == 0
+    assert "value: 1\n" in capsys.readouterr().out
 
 
 def test_caps_fire_before_enumeration_with_unchanged_counts():

@@ -19,7 +19,9 @@ from cellforest.families import (
     colorful_tree_count_weighted,
     colorful_vertex_weighting,
     complete_colorful,
+    ferrers_graph,
     ferrers_tree_count_weighted,
+    ferrers_vertex_weighting,
     hypercube_complex,
     hypercube_tree_count_weighted,
     hypercube_weights,
@@ -116,6 +118,11 @@ def test_a_colorful_key_is_read_exactly_and_a_missing_one_named(reader):
         ({(1, 1): 2, (1, 2.0): 1, (2, 1): 1, (2, 2): 1}, "position 2.0 is not an int"),
         ({(1, 1): 2, (2, 2): 1}, "no weight at (color, position) (1, 2), (2, 1)"),
         ({(1, 1): 2, (1, 2): 1, (2, 1): 1, (3, 1): 1}, "no weight at (color, position) (2, 2)"),
+        # a key outside the color classes is refused before any weight is read
+        (
+            {(1, 1): 2, (1, 2): 1, (2, 1): 1, (2, 2): 1, (3, 1): 0.5, (1, 3): 1},
+            "no color class holds (color, position) (1, 3), (3, 1)",
+        ),
     ):
         with pytest.raises(ValueError) as exc:
             call(v)
@@ -138,6 +145,22 @@ def test_a_hypercube_needs_one_weight_of_each_kind_per_coordinate(call, message)
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+# both Ferrers readers, called with row weights x and column weights y on the
+# partition (2, 1): two rows, two columns
+FERRERS_READERS = {
+    "ferrers_tree_count_weighted": lambda x, y: ferrers_tree_count_weighted((2, 1), x, y),
+    "ferrers_vertex_weighting": lambda x, y: ferrers_vertex_weighting(ferrers_graph((2, 1)), (2, 1), x, y),
+}
+
+
+@pytest.mark.parametrize("x, y", [([1], [1, 1]), ([1, 1, 7], [1, 1]), ([1, 1], [1]), ([1, 1], [1, 1, 7])])
+@pytest.mark.parametrize("reader", sorted(FERRERS_READERS))
+def test_a_ferrers_graph_needs_one_weight_per_row_and_per_column(reader, x, y):
+    with pytest.raises(ValueError) as exc:
+        FERRERS_READERS[reader](x, y)
+    assert str(exc.value) == "need one x per row and one y per column"
 
 
 def _exit_and_stderr(argv, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -395,6 +396,14 @@ class TestCli:
         assert main(["gen", "simplex-skeleton", "12", "3", "--out", str(path)]) == 0
         assert main(["tau", str(path), "--method", "pseudodet"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "tau_K12_3_pseudodet.txt").read_text()
+
+    def test_census_export_matches_golden_digest_on_K6_2(self, tmp_path):
+        # 46,620 forests; the CI checks the same digest with sha256sum -c
+        path, census = tmp_path / "k62.txt", tmp_path / "census_K6_2.txt"
+        assert main(["gen", "simplex-skeleton", "6", "2", "--out", str(path)]) == 0
+        assert main(["tau", str(path), "--method", "bruteforce", "--census", str(census)]) == 0
+        digest = hashlib.sha256(census.read_bytes()).hexdigest()
+        assert f"{digest}  census_K6_2.txt\n" == (GOLDEN / "census_K6_2.sha256").read_text()
 
     def test_critical_on_the_hypercube_five_two_skeleton(self, tmp_path):
         # a separate interpreter with a timeout, so that a Smith form whose
