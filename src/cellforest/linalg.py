@@ -5,17 +5,17 @@ All arithmetic is arbitrary precision: matrices hold Python ``int`` or
 (integer pivoting), exact rational, or exact modular.  No floating
 point anywhere, and no probabilistic step.
 
-Rank, the greedy bases, ``det`` and the torsion certificate share one sparse
-elimination step (``_eliminate``, as in Dumas-Saunders-Villard, J. Symbolic
-Comput. 2001): columns (or rows) are {index: value} dicts, and each surviving
-one is reduced fraction-free against a pivot, w <- pv*w - w[pr]*v, divided by
-its content, and dropped once zero.  Unit pivots come first.  The oracle's
-depth-first search branches over this step; rank, the bases and ``det`` follow
-its leftmost path (``_greedy_path``), which also yields the signed det of
-the basis on its pivot indices.  The product of the invariant factors is the
-gcd of the maximal minors, so a minor of +-1 proves them all 1, and
-``invariant_factors`` runs its dense Smith form only when that certificate
-fails.
+Rank, the greedy bases, ``det`` and the unit-pivot contraction of
+``invariant_factors`` share one sparse elimination step (``_eliminate``, as in
+Dumas-Saunders-Villard, J. Symbolic Comput. 2001): columns (or rows) are
+{index: value} dicts, and each surviving one is reduced fraction-free against
+a pivot, w <- pv*w - w[pr]*v, divided by its content, and dropped once zero.
+Unit pivots come first.  The oracle's depth-first search branches over this
+step; rank, the bases and ``det`` follow its leftmost path (``_greedy_path``),
+which also yields the signed det of the basis on its pivot indices.
+``invariant_factors`` pivots only on entries +-1 of rows never divided by a
+content, so each pivot is a unimodular step that splits off a factor 1, and
+it runs the dense Smith form only on the rows those pivots leave.
 
 Lattices, Smith forms and integer kernels share one dense Euclidean loop,
 the row Hermite form ``_row_hermite``, whose rows may carry ride-along
@@ -289,8 +289,7 @@ class SNFResult:
 
 
 # ---------------------------------------------------------------------------
-# the sparse elimination step: rank, greedy bases, determinants and the
-# unit-minor certificate
+# the sparse elimination step: rank, greedy bases and determinants
 # ---------------------------------------------------------------------------
 
 
@@ -649,17 +648,46 @@ def smith_normal_form(M):
 def invariant_factors(M):
     """Positive invariant factors of an integer matrix (no transforms).
 
-    Their product is the gcd of the maximal minors, so when the greedy path's
-    minor is +-1 they are all 1 and no Smith form is run.  The path runs over
-    rows, which is cheaper than over columns on boundaries and small matrices.
+    Unit pivots are contracted first by the sparse step over the rows: the
+    first candidate (j, w, a, g) with g = 1 and an entry pv = +-1 is the pivot,
+    and the others are reduced against it.  With pv = +-1, w <- pv*w - c*v is
+    a unimodular row operation, and column operations then clear the rest of
+    the pivot row, so each pivot splits off an invariant factor 1 (Cohen,
+    GTM 138, §2.4).  The content division is not unimodular: a candidate with
+    g > 1 stands for the row g*w, and never pivots.  What is left, g*w over
+    the columns still present, goes to the dense Smith form, whose factors
+    follow the ones (Dumas-Saunders-Villard, J. Symbolic Comput. 2001).
     """
     if not M.is_integral:
         raise ValueError("invariant factors require an integer matrix")
-    basis, minor = _greedy_path(_sparse_rows(M))
-    if abs(minor) == 1:
-        return (1,) * len(basis)
-    factors, _, _ = _smith(M.data, [()] * M.nrows, [()] * M.ncols)
-    return tuple(factors)
+    cands = [(j, w, 1, 1) for j, w in enumerate(_sparse_rows(M)) if w]
+    ones = 0
+    i = 0
+    while i < len(cands):  # the first candidate with g = 1 and a unit entry pivots
+        _, v, _, g = cands[i]
+        pv = 0
+        if g == 1:
+            for pr, pv in v.items():
+                if pv == 1 or pv == -1:
+                    break
+        if pv == 1 or pv == -1:
+            del cands[i]
+            cands = _eliminate(cands, pr, v, pv)
+            ones += 1
+            i = 0
+        else:
+            i += 1
+    if not cands:
+        return (1,) * ones
+    at = {c: k for k, c in enumerate(sorted({c for _, w, _, _ in cands for c in w}))}
+    dense = []
+    for _, w, _, g in cands:
+        row = [0] * len(at)
+        for c, x in w.items():
+            row[at[c]] = g * x
+        dense.append(row)
+    factors, _, _ = _smith(dense, [()] * len(dense), [()] * len(at))
+    return (1,) * ones + tuple(factors)
 
 
 def torsion_order(M):

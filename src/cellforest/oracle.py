@@ -14,10 +14,10 @@ survivors of each elimination as leaves.  The search leaves a node at its
 first child without a leaf, because no later sibling has one either: the
 candidates from position p on span a rank that only falls as p grows.  A
 child with fewer candidates than it needs is known dead before it is pushed.
-The +-1 certificate (torsion is the gcd of the maximal minors, so a
-unit minor proves it 1) lives in ``linalg.invariant_factors``, so cobase
-roots and kernel defects skip the Smith form too; census leaves read it off
-their own minor.
+Cobase roots and kernel defects take their torsion from
+``linalg.invariant_factors``, which contracts unit pivots before any Smith
+form, so a root whose rows reduce to unit pivots runs none; census leaves
+read their torsion off their own minor.
 
 Enumeration order is lexicographic in cell indices throughout, so censuses
 and reports are deterministic.

@@ -39,6 +39,30 @@ def random_pure_2_complexes(rng, count):
     return out
 
 
+def random_flag_complexes(rng, count):
+    """Clique complexes of random graphs on 5-8 vertices, cut at dimension 3,
+    each with a triangle.  Holes come from induced cycles of length 4 or
+    more, and isolated vertices from vertices without edges."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(5, 8)
+        p = rng.uniform(0.3, 0.8)
+        edges = {e for e in combinations(range(1, n + 1), 2) if rng.random() < p}
+        cliques = [c for size in (3, 4) for c in combinations(range(1, n + 1), size)
+                   if all(e in edges for e in combinations(c, 2))]
+        if cliques:
+            facets = [(v,) for v in range(1, n + 1)] + sorted(edges) + cliques
+            out.append(from_facets(n, facets).to_chain_complex())
+    return out
+
+
+def random_formal_duals(rng, count):
+    """Formal duals of random pure 2-complexes and of random flag complexes,
+    about half of each."""
+    half = count // 2
+    return [dual_complex(X) for X in random_pure_2_complexes(rng, half) + random_flag_complexes(rng, count - half)]
+
+
 def unimodular(rng, n):
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(2 * n):

@@ -31,8 +31,11 @@ from cellforest.linalg import (
     _canon as _canon_entry,
     _canon as _exactify,
     _eliminate,
+    _greedy_path,
     _hessenberg_char_poly_mod,
+    _smith,
     _sparse_columns,
+    _sparse_rows,
 )
 from cellforest.matrix_forest import (
     TauReport,
@@ -379,6 +382,23 @@ def invariant_factors_by_smith(M):
         raise ValueError("invariant factors require an integer matrix")
     A = [list(row) for row in M.data]
     factors, _, _ = _snf_core(A, M.nrows, M.ncols, want_transforms=False)
+    return tuple(factors)
+
+
+def invariant_factors_by_certificate(M):
+    """``linalg.invariant_factors``: the greedy path's minor as a certificate,
+    else the Hermite-pass Smith form of all of M.
+
+    Their product is the gcd of the maximal minors, so when the greedy path's
+    minor is +-1 they are all 1 and no Smith form is run.  The path runs over
+    rows, which is cheaper than over columns on boundaries and small matrices.
+    """
+    if not M.is_integral:
+        raise ValueError("invariant factors require an integer matrix")
+    basis, minor = _greedy_path(_sparse_rows(M))
+    if abs(minor) == 1:
+        return (1,) * len(basis)
+    factors, _, _ = _smith(M.data, [()] * M.nrows, [()] * M.ncols)
     return tuple(factors)
 
 

@@ -1,9 +1,9 @@
 """Differential corpus: rank, greedy bases, invariant factors and determinants
 from the one sparse elimination step of ``linalg`` against the frozen dense
-greedy loop, the Smith form without the unit-minor certificate and the
-Bareiss determinant; Smith forms and integer kernels from the Hermite loop
-against the frozen dense Smith loop; and the sparse matrix product against
-the dense one."""
+greedy loop, the frozen dense Smith loop, the replaced unit-minor
+certificate route and the Bareiss determinant; Smith forms and integer
+kernels from the Hermite loop against the frozen dense Smith loop; and the
+sparse matrix product against the dense one."""
 
 import math
 import random
@@ -11,9 +11,11 @@ from fractions import Fraction
 
 from cellforest import linalg
 from cellforest.complexes import laplacian
+from cellforest.critical import critical_group
+from cellforest.families import complete_colorful, simplex_skeleton
+from cellforest.homology import betti
 from cellforest.linalg import (
     Matrix,
-    _greedy_path,
     _sparse_rows,
     column_lattice_basis,
     det,
@@ -27,11 +29,20 @@ from cellforest.linalg import (
 
 from cellforest.matrix_forest import default_root
 
-from corpus import CORPUS, SEED, low_rank_psd, random_integer, random_rational
+from corpus import (
+    CORPUS,
+    SEED,
+    low_rank_psd,
+    random_flag_complexes,
+    random_formal_duals,
+    random_integer,
+    random_rational,
+)
 from frozen import (
     dense_product,
     det_by_bareiss,
     greedy_column_basis_dense,
+    invariant_factors_by_certificate,
     invariant_factors_by_smith,
     kernel_lattice_basis_by_smith,
 )
@@ -79,27 +90,72 @@ def test_ranks_and_greedy_bases_match_dense_loop():
     assert any(not M.is_integral and rank(M) > 0 for M in matrices)
 
 
+def unit_contraction(M):
+    """The nonzero rows left once unit pivots are contracted by plain integer
+    row operations: the first row with an entry +-1 (the first such entry in
+    its stored order) clears its column from the other rows and leaves."""
+    rows = [w for w in _sparse_rows(M) if w]
+    while True:
+        pivot = next(((i, c) for i, w in enumerate(rows) for c, x in w.items() if x in (1, -1)), None)
+        if pivot is None:
+            return rows
+        i, c = pivot
+        v = rows.pop(i)
+        left = []
+        for w in rows:
+            if c in w:
+                q = w[c] * v[c]
+                w = dict(w)
+                for r, x in v.items():
+                    nx = w.get(r, 0) - q * x
+                    if nx:
+                        w[r] = nx
+                    else:
+                        del w[r]
+            if w:
+                left.append(w)
+        rows = left
+
+
 def test_invariant_factors_match_smith_form_and_take_both_branches(monkeypatch):
     matrices = [M for M in complex_matrices() + random_matrices() + EMPTY if M.is_integral]
-    smith_runs = []
+    matrices.append(Matrix([[2, 3]]))
+    smith_inputs = []
     smith = linalg._smith
-    monkeypatch.setattr(linalg, "_smith", lambda *args: smith_runs.append(1) or smith(*args))
+    monkeypatch.setattr(linalg, "_smith", lambda A, *rest: smith_inputs.append(A) or smith(A, *rest))
     branches = set()
     for M in matrices:
-        basis, minor = _greedy_path(_sparse_rows(M))
-        before = len(smith_runs)
+        residual = unit_contraction(M)
+        before = len(smith_inputs)
         got = invariant_factors(M)
-        # the Smith form runs exactly when the certificate fails
-        assert len(smith_runs) - before == (abs(minor) != 1)
+        # the Smith form runs exactly when the contraction leaves a residual,
+        # and it sees that residual, each row up to sign, on its columns
+        assert len(smith_inputs) - before == bool(residual)
+        if residual:
+            cols = sorted({c for w in residual for c in w})
+            dense = [[w.get(c, 0) for c in cols] for w in residual]
+            seen = smith_inputs[-1]
+            assert len(seen) == len(dense)
+            assert all(a == b or a == [-x for x in b] for a, b in zip(seen, dense))
         assert got == invariant_factors_by_smith(M)
         assert type(got) is tuple and all(type(f) is int for f in got)
-        assert len(basis) == len(got)
-        if basis:
-            branches.add((abs(minor) == 1, all(f == 1 for f in got)))
-    # a unit minor proves every factor 1; a minor above 1 runs the Smith form,
-    # which finds factors above 1 or, as on the conjugated Smith complexes,
-    # all 1 after all
-    assert branches == {(True, True), (False, True), (False, False)}
+        if got:
+            branches.add((bool(residual), all(f == 1 for f in got)))
+    # an empty residual has every factor 1; a residual may still have every
+    # factor 1, as [[2, 3]] and the conjugated Smith complexes do, or not
+    assert branches == {(False, True), (True, True), (True, False)}
+
+
+def test_smith_sees_only_the_residual_of_colorful_critical_groups(monkeypatch):
+    X = complete_colorful(3, 3, 3, 3).to_chain_complex()
+    widths = []
+    smith = linalg._smith
+    monkeypatch.setattr(linalg, "_smith", lambda A, left, right: widths.append(len(right)) or smith(A, left, right))
+    orders = [critical_group(X, i).order for i in range(X.dim)]
+    # the top Laplacian is 108 x 108; its unit pivots leave 32 x 44
+    assert laplacian(X, X.dim - 1, "ud").shape == (108, 108)
+    assert widths and max(widths) <= 44
+    assert all(order > 1 for order in orders)
 
 
 def gram_matrices():
@@ -139,6 +195,40 @@ def test_smith_forms_and_kernels_match_frozen_loop():
         assert abs(det(res.left)) == 1 and abs(det(res.right)) == 1
         torsion += any(f > 1 for f in factors)
     assert torsion > 50
+
+
+def certificate_matrices():
+    """The integer matrices of the tests above; the up-down Laplacians of
+    K_6^2, K_7^2 and K_8^2; the top Laplacian of colorful (3,3,3,3); and the
+    boundaries and their transposes of seeded flag complexes and formal duals."""
+    matrices = complex_matrices() + random_matrices() + EMPTY + gram_matrices() + large_entry_matrices()
+    matrices.append(Matrix([[2, 3]]))
+    for n in (6, 7, 8):
+        K = simplex_skeleton(n, 2).to_chain_complex()
+        matrices += [laplacian(K, k, "ud") for k in range(-1, K.dim)]
+    colorful = complete_colorful(3, 3, 3, 3).to_chain_complex()
+    matrices.append(laplacian(colorful, colorful.dim - 1, "ud"))
+    for X in flag_complexes() + random_formal_duals(random.Random(SEED), 8):
+        matrices += [B for b in X.boundaries for B in (b, b.transpose())]
+    return [M for M in matrices if M.is_integral]
+
+
+def flag_complexes():
+    return random_flag_complexes(random.Random(SEED), 8)
+
+
+def test_invariant_factors_match_certificate_route():
+    matrices = certificate_matrices()
+    assert len(matrices) > 700
+    torsion = 0
+    for M in matrices:
+        got = invariant_factors(M)
+        assert got == invariant_factors_by_certificate(M)
+        assert type(got) is tuple and all(type(f) is int for f in got)
+        torsion += any(f > 1 for f in got)
+    assert torsion > 50
+    # the seeded flag complexes have holes: non-vanishing reduced homology
+    assert any(betti(X, k) > (k == 0) for X in flag_complexes() for k in range(X.dim + 1))
 
 
 def reduced_laplacians():
