@@ -14,10 +14,11 @@ survivors of each elimination as leaves.  The search leaves a node at its
 first child without a leaf, because no later sibling has one either: the
 candidates from position p on span a rank that only falls as p grows.  A
 child with fewer candidates than it needs is known dead before it is pushed.
-Cobase roots and kernel defects take their torsion from
-``linalg.invariant_factors``, which contracts unit pivots before any Smith
-form, so a root whose rows reduce to unit pivots runs none; census leaves
-read their torsion off their own minor.
+Cobase roots take their torsion from ``linalg.invariant_factors``, which
+contracts unit pivots before any Smith form, so a root whose rows reduce to
+unit pivots runs none; census leaves read their torsion off their own minor.
+Kernel defects project one kernel basis and one saturated-image basis per
+level onto each cobase (the correspondence theorem, ``_kernel_defect``).
 
 Enumeration order is lexicographic in cell indices throughout, so censuses
 and reports are deterministic.
@@ -327,45 +328,40 @@ def enumerate_cobases(X, k, cap=None):
 
 
 def _defect_context(X, k):
-    """d_k, its nullity and the saturated image of d_{k+1}: shared by every
-    cobase at level k.  The image must lie in ker d_k, i.e. d_k d_{k+1} = 0,
-    which formal duals and matrix-form input never check at k = 0; d_{k+1}
-    spans the same rational space as its saturation, so the check runs on it.
-    When rank d_{k+1} equals the nullity, the saturated image is all of
-    ker d_k and every defect is 1, so no saturation is computed and ``None``
-    stands for it.
+    """A basis of ker d_k and one of the saturated image of d_{k+1}: shared by
+    every cobase at level k.  The image must lie in ker d_k, i.e.
+    d_k d_{k+1} = 0, which formal duals and matrix-form input never check at
+    k = 0; d_{k+1} spans the same rational space as its saturation, so the
+    check runs on it.  When rank d_{k+1} equals the nullity, the saturated
+    image is all of ker d_k and every defect is 1, so neither basis is
+    computed and ``(None, None)`` stands for them.
     """
     require_boundary_composition(X, k)
     bk = boundary_matrix(X, k)
     nullity = bk.ncols - rank(bk)
     b = boundary_matrix(X, k + 1) if k < X.dim else Matrix.zeros(bk.ncols, 0)
     if rank(b) == nullity:
-        return bk, nullity, None
-    return bk, nullity, saturation_basis(b)
+        return None, None
+    return kernel_lattice_basis(bk), saturation_basis(b)
 
 
-def _kernel_defect(bk, nullity, sat, outside, sub=None):
-    """Index in ker d_k of the lattice sat + (kernel avoiding the cobase), given
-    the ascending k-cells ``outside`` the cobase and d_k on them (``sub``) if built.
+def _kernel_defect(ker, sat, cobase):
+    """Index in ker d_k of sat + (kernel avoiding the sorted k-cells ``cobase``).
 
-    ker d_k is saturated, so for generators of full rank inside it the index
-    is the product of their invariant factors.  ``sat`` is ``None`` when it
-    fills ker d_k, and the index is then 1.
+    Those kernel vectors are the kernel of pi_S, the projection onto the
+    cobase, so by the correspondence theorem the index is [pi_S(ker) :
+    pi_S(sat)], spanned by the cobase rows of the two bases.  Of equal rank,
+    the two share a saturation, and the index is the quotient of their
+    products of invariant factors; of unequal rank, it is infinite.  ``sat``
+    is ``None`` when it fills ker d_k, and the index is then 1.
     """
     if sat is None:
         return 1
-    sub = bk.submatrix(range(bk.nrows), outside) if sub is None else sub
-    lifted = []
-    for col in kernel_lattice_basis(sub).columns():
-        v = [0] * bk.ncols
-        for i, x in zip(outside, col):
-            v[i] = x
-        lifted.append(v)
-    gens = Matrix.from_columns(list(sat.columns()) + lifted, nrows=bk.ncols)
-    factors = invariant_factors(gens)
-    if len(factors) < nullity:
+    sat_factors = invariant_factors(sat.submatrix(cobase, range(sat.ncols)))
+    ker_factors = invariant_factors(ker.submatrix(cobase, range(ker.ncols)))
+    if len(sat_factors) < len(ker_factors):
         raise ValueError("cobase does not span: infinite defect")
-    return prod(factors)
+    return prod(sat_factors) // prod(ker_factors)
 
 
 def cobase_kernel_defect(X, k, cobase):
@@ -373,11 +369,11 @@ def cobase_kernel_defect(X, k, cobase):
 
     This is the torsion-style correction a cobase contributes when the
     codim-1 rational homology does not vanish; it equals 1 whenever the
-    saturated image already fills the kernel.  No vanishing hypotheses, though
-    d_k d_{k+1} = 0 is presumed (``ValueError`` otherwise).
+    saturated image fills the kernel, and is otherwise an index of their
+    projections onto the cobase (``_kernel_defect``).  No vanishing
+    hypotheses, though d_k d_{k+1} = 0 is presumed (``ValueError`` otherwise).
     """
-    _, outside = split_cells(X, k, cobase)
-    return _kernel_defect(*_defect_context(X, k), outside)
+    return _kernel_defect(*_defect_context(X, k), split_cells(X, k, cobase)[0])
 
 
 def cobase_defect_enumerator(X, k, cap=None):
@@ -389,12 +385,12 @@ def cobase_defect_enumerator(X, k, cap=None):
     reduces to the torsion-weighted count of maximal k-forests.  It too
     presumes d_k d_{k+1} = 0.
     """
-    bk, nullity, sat = _defect_context(X, k)
+    ker, sat = _defect_context(X, k)
+    bk = boundary_matrix(X, k)
     total = 0
     for cobase in enumerate_cobases(X, k, cap):
         _, root = split_cells(X, k, cobase)
-        sub = bk.submatrix(range(bk.nrows), root)
-        t_root = torsion_order(sub)
-        defect = _kernel_defect(bk, nullity, sat, root, sub)
+        t_root = torsion_order(bk.submatrix(range(bk.nrows), root))
+        defect = _kernel_defect(ker, sat, cobase)
         total += t_root * t_root * defect * defect
     return total

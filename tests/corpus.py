@@ -17,7 +17,7 @@ from cellforest.families import (
     simplex_skeleton,
 )
 from cellforest.homology import betti
-from cellforest.linalg import Matrix
+from cellforest.linalg import Matrix, kernel_lattice_basis
 
 SEED = 20261018
 
@@ -85,6 +85,29 @@ def conjugated_smith_complexes(rng, count):
         top = unimodular(rng, m) * D * unimodular(rng, n)
         cells = (("v",), tuple(f"e{i}" for i in range(m)), tuple(f"f{j}" for j in range(n)))
         out.append(ChainComplex.create(cells, (Matrix.zeros(1, m), top)))
+    return out
+
+
+def middle_homology_complexes(rng, count):
+    """Matrix-form 3-complexes on one vertex with beta_2 > 0: a random middle
+    boundary A, entries in -3..3, and a top boundary K C of lower rank than
+    the basis K of ker A, so dd = 0 and the saturated image misses part of
+    ker A.  The columns of A off a cobase often span a lattice with torsion,
+    and then the kernel projected onto the cobase is not saturated."""
+    out = []
+    while len(out) < count:
+        m, n = rng.randint(1, 3), rng.randint(3, 6)
+        A = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)], ncols=n)
+        K = kernel_lattice_basis(A)
+        if K.ncols < 2:
+            continue
+        p = rng.randint(1, K.ncols - 1)
+        top = K * Matrix([[rng.randint(-2, 2) for _ in range(p)] for _ in range(K.ncols)], ncols=p)
+        if top.is_zero:
+            continue
+        cells = (("v",), tuple(f"e{i}" for i in range(m)), tuple(f"f{j}" for j in range(n)),
+                 tuple(f"s{j}" for j in range(p)))
+        out.append(ChainComplex.create(cells, (Matrix.zeros(1, m), A, top)))
     return out
 
 

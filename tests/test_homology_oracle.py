@@ -240,15 +240,18 @@ class TestLazySaturation:
         for X in CORPUS:
             for k in range(X.dim + 1):
                 try:
-                    bk, nullity, sat = _defect_context(X, k)
+                    ker, sat = _defect_context(X, k)
                 except ValueError:
                     # the formal duals' vertex layer obeys no augmentation identity
                     assert k == 0 and not (X.boundaries[0] * X.boundaries[1]).is_zero
                     continue
+                bk = boundary_matrix(X, k)
+                nullity = bk.ncols - rank(bk)
                 image_rank = rank(boundary_matrix(X, k + 1)) if k < X.dim else 0
-                assert nullity == bk.ncols - rank(bk)
-                assert (sat is None) == (image_rank == nullity)
+                assert (sat is None) == (ker is None) == (image_rank == nullity)
                 if sat is not None:
+                    assert ker.shape == (bk.ncols, nullity)
+                    assert (bk * ker).is_zero
                     assert sat.shape == (bk.ncols, image_rank)
                     if k < X.dim:
                         assert sat == saturation_basis(boundary_matrix(X, k + 1))

@@ -384,6 +384,32 @@ class TestCli:
         assert main(["verify", "all", "--seed", "1"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "verify_all_seed1.txt").read_text()
 
+    def test_tau_reports_match_golden_output(self, tmp_path, capsys):
+        # six methods at every level 1..dim of seven complexes, rendered as
+        # the CI step renders them: refusals pin their exit code and stderr,
+        # and the cobase routes pin their defect and enumerator corrections
+        specs = (
+            ("named", "rp2_six_vertex"), ("named", "rp2_cell"), ("named", "moebius"),
+            ("named", "annulus"), ("named", "bipyramid"), ("colorful", "2", "2", "2"),
+            ("hypercube", "3"),
+        )
+        methods = ("reduced", "pseudodet", "alternating", "covolume", "cobase", "cobase-spectral")
+        path = tmp_path / "complex.txt"
+        reports = []
+        for spec in specs:
+            assert main(["gen", *spec, "--out", str(path)]) == 0
+            dim = cfio.parse_complex(path.read_text()).dim
+            for k in range(1, dim + 1):
+                for method in methods:
+                    code = main(["tau", str(path), "--k", str(k), "--method", method])
+                    out, err = capsys.readouterr()
+                    reports.append(
+                        f"=== gen {' '.join(spec)}; tau --k {k} --method {method}; exit {code}\n"
+                        f"--- stdout\n{out}--- stderr\n{err}"
+                    )
+        assert len(reports) == 90
+        assert "".join(reports) == (GOLDEN / "tau_reports.txt").read_text()
+
     def test_critical_matches_golden_output(self, tmp_path, capsys):
         path = tmp_path / "k82.txt"
         assert main(["gen", "simplex-skeleton", "8", "2", "--out", str(path)]) == 0
