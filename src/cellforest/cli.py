@@ -28,6 +28,7 @@ from .homology import homology
 from .matrix_forest import (
     METHODS,
     HypothesisError,
+    TauReport,
     format_exact,
     rooted_forest_polynomial,
     tau,
@@ -103,10 +104,7 @@ def cmd_tau(args):
     if args.method == "bruteforce":
         census = enumerate_forests(X, k, cap=args.cap)
         value = census.tau_weighted(X, weights) if weights else census.tau()
-        body = (
-            f"method: bruteforce\nk: {k}\nvalue: {format_exact(value)}\n"
-            f"forests: {len(census.forests)}\n"
-        )
+        body = TauReport("bruteforce", k, value).render() + f"\nforests: {len(census.forests)}\n"
         if args.census:
             with open(args.census, "w") as fh:
                 fh.write(cfio.serialize_census(X, census))

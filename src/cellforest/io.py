@@ -5,10 +5,10 @@ Complex files: a header line ``dim d``, then either a single simplicial block
     facets <count>
     <sorted vertex list, space separated>     (one facet per line)
 
-or one ``matrix k rows cols`` block per dimension k = 1..d, each followed by
-``rows`` lines of ``cols`` space-separated integers.  Lines starting with
-``#`` and blank lines are ignored.  Serialization is canonical (facets sorted,
-fixed spacing), so parse/serialize round-trips are bit-exact.
+or, for d >= 1, one ``matrix k rows cols`` block per dimension k = 1..d,
+each followed by ``rows`` lines of ``cols`` space-separated integers.  Lines
+starting with ``#`` and blank lines are ignored.  Serialization is canonical
+(facets sorted, fixed spacing), so parse/serialize round-trips are bit-exact.
 
 Weight files: lines ``dim index value`` with ``value`` an integer or ``p/q``.
 """
@@ -88,6 +88,8 @@ def parse_any(text):
         if S.dim != d:
             raise FormatError(f"header says dim {d} but facets have dimension {S.dim}")
         return S
+    if d == 0:
+        raise FormatError("dim 0 needs a facets block: matrix blocks give no vertex count")
     matrices = {}
     i = 0
     while i < len(body):
@@ -95,6 +97,8 @@ def parse_any(text):
         if len(parts) != 4 or parts[0] != "matrix":
             raise FormatError(f"expected 'matrix k rows cols', got {body[i]!r}")
         k, nrows, ncols = _integers(parts[1:], body[i])
+        if k in matrices:
+            raise FormatError(f"matrix {k} given twice: {body[i]!r}")
         rows = []
         for j in range(nrows):
             i += 1

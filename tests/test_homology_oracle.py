@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -16,6 +17,7 @@ from cellforest.homology import (
     is_spanning_tree,
     is_z_apc,
     relative_homology_torsion,
+    torsion,
 )
 from cellforest.linalg import det, invariant_factors, rank, saturation_basis
 from cellforest.matrix_forest import tau_cobase
@@ -33,7 +35,7 @@ from cellforest.oracle import (
     tau_weighted_bruteforce,
 )
 
-from corpus import CORPUS
+from corpus import CORPUS, SEED, conjugated_smith_complexes, middle_homology_complexes, random_flag_complexes
 
 
 class TestHomology:
@@ -232,6 +234,27 @@ class TestCobases:
             root = tuple(i for i in range(10) if i not in set(cobase))
             t_r = forest_torsion(moebius, root, 1)
             assert d == tau * defect * defect * t_r * t_r
+
+    def test_enumerator_matches_its_cauchy_binet_closed_form(self):
+        # for a cobase S with root R, [im d_k : d_k(Z^R)] = [Z^S : pi_S(ker d_k)] (both are the
+        # cokernel of v -> (v_S, d_k v)), so t_root * defect = t_{k-1}(X) |det sat[S,:]|, whose
+        # squares sum by Cauchy-Binet to t_{k-1}(X)^2 det(sat^T sat); a 0 x 0 Gram matrix has det 1
+        checked = refused = 0
+        for X in CORPUS + [
+            *conjugated_smith_complexes(random.Random(SEED), 20),
+            *middle_homology_complexes(random.Random(SEED), 20),
+            *random_flag_complexes(random.Random(SEED), 6),
+        ]:
+            for k in range(X.dim):
+                if k == 0 and not (X.boundaries[0] * X.boundaries[1]).is_zero:  # formal duals
+                    with pytest.raises(ValueError):
+                        cobase_defect_enumerator(X, k)
+                    refused += 1
+                    continue
+                sat = saturation_basis(boundary_matrix(X, k + 1))
+                assert cobase_defect_enumerator(X, k) == torsion(X, k - 1) ** 2 * det(sat.transpose() * sat)
+                checked += 1
+        assert (checked, refused) == (156, 2)
 
 
 class TestLazySaturation:

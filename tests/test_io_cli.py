@@ -1,23 +1,15 @@
-import hashlib
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import cellforest
 from cellforest import io as cfio
 from cellforest.cli import main
 from cellforest.complexes import SimplicialComplex
 from cellforest.families import hypercube_complex, named_complex, named_simplicial
 from cellforest.oracle import enumerate_forests
 
-# recorded stdout, kept byte for byte: a change to any route that alters a
-# rendered value or report shows up here
-GOLDEN = Path(__file__).parent / "golden"
+from goldens import GOLDENS, in_process, render, through_processes
 
 
 class TestComplexFormat:
@@ -105,22 +97,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("dim 2\nfacets 20\n")
 
-    def test_gen_named_and_tau(self, tmp_path):
-        path = tmp_path / "bipyramid.txt"
-        assert main(["gen", "named", "bipyramid", "--out", str(path)]) == 0
-        out_path = tmp_path / "tau.txt"
-        assert main(["tau", str(path), "--k", "2", "--method", "reduced", "--out", str(out_path)]) == 0
-        text = out_path.read_text()
-        assert "value: 15" in text
-        assert "cap:" in text and "seed:" in text
-
-    def test_tau_alternating_rp2(self, tmp_path):
-        path = tmp_path / "rp2.txt"
-        main(["gen", "named", "rp2_six_vertex", "--out", str(path)])
-        out_path = tmp_path / "tau.txt"
-        assert main(["tau", str(path), "--method", "alternating", "--out", str(out_path)]) == 0
-        assert "value: 4" in out_path.read_text()
-
     def test_tau_bruteforce_matches(self, tmp_path):
         path = tmp_path / "moebius.txt"
         main(["gen", "named", "moebius", "--out", str(path)])
@@ -130,13 +106,6 @@ class TestCli:
         assert main(["tau", str(path), "--method", "bruteforce", "--out", str(out_path)]) == 0
         b = out_path.read_text()
         assert "value: 1" in a and "value: 1" in b
-
-    def test_hypothesis_failure_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "moebius.txt"
-        main(["gen", "named", "moebius", "--out", str(path)])
-        code = main(["tau", str(path), "--method", "alternating"])
-        assert code == 2
-        assert "hypothesis failure" in capsys.readouterr().err
 
     def test_cobase_on_formal_dual_names_the_condition(self, tmp_path, capsys):
         from cellforest.complexes import dual_complex, skeleton
@@ -322,6 +291,17 @@ class TestCli:
         assert main(["homology", str(path)]) == 2
         assert capsys.readouterr().err == f"error: expected integers: {bad!r}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("dim 0\n", "dim 0 needs a facets block: matrix blocks give no vertex count"),
+        ("dim 1\nmatrix 1 2 1\n-1\n1\nmatrix 1 2 1\n1\n-1\n", "matrix 1 given twice: 'matrix 1 2 1'"),
+    ])
+    @pytest.mark.parametrize("command", ["homology", "critical", "tau", "rooted-poly"])
+    def test_matrix_blocks_that_miss_or_repeat_exit_code(self, tmp_path, capsys, text, message, command):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_signed_integer_tokens_stay_legal(self):
         assert cfio.parse_any("dim +1\nfacets +1\n+1 +3\n").facets == {frozenset({1, 3})}
 
@@ -380,73 +360,14 @@ class TestCli:
         assert main(["verify", "duality", "--out", str(out)]) == 0
         assert "RESULT: pass" in out.read_text()
 
-    def test_verify_all_matches_golden_output(self, capsys):
-        assert main(["verify", "all", "--seed", "1"]) == 0
-        assert capsys.readouterr().out == (GOLDEN / "verify_all_seed1.txt").read_text()
+    @pytest.mark.parametrize("golden", [g for g in GOLDENS if g.timeout is None], ids=lambda g: g.name)
+    def test_output_matches_its_golden_file(self, golden):
+        assert render(golden, in_process) == golden.pinned()
 
-    def test_tau_reports_match_golden_output(self, tmp_path, capsys):
-        # six methods at every level 1..dim of seven complexes, rendered as
-        # the CI step renders them: refusals pin their exit code and stderr,
-        # and the cobase routes pin their defect and enumerator corrections
-        specs = (
-            ("named", "rp2_six_vertex"), ("named", "rp2_cell"), ("named", "moebius"),
-            ("named", "annulus"), ("named", "bipyramid"), ("colorful", "2", "2", "2"),
-            ("hypercube", "3"),
-        )
-        methods = ("reduced", "pseudodet", "alternating", "covolume", "cobase", "cobase-spectral")
-        path = tmp_path / "complex.txt"
-        reports = []
-        for spec in specs:
-            assert main(["gen", *spec, "--out", str(path)]) == 0
-            dim = cfio.parse_complex(path.read_text()).dim
-            for k in range(1, dim + 1):
-                for method in methods:
-                    code = main(["tau", str(path), "--k", str(k), "--method", method])
-                    out, err = capsys.readouterr()
-                    reports.append(
-                        f"=== gen {' '.join(spec)}; tau --k {k} --method {method}; exit {code}\n"
-                        f"--- stdout\n{out}--- stderr\n{err}"
-                    )
-        assert len(reports) == 90
-        assert "".join(reports) == (GOLDEN / "tau_reports.txt").read_text()
-
-    def test_critical_matches_golden_output(self, tmp_path, capsys):
-        path = tmp_path / "k82.txt"
-        assert main(["gen", "simplex-skeleton", "8", "2", "--out", str(path)]) == 0
-        assert main(["critical", str(path)]) == 0
-        assert capsys.readouterr().out == (GOLDEN / "critical_K8_2.txt").read_text()
-
-    def test_tau_pseudodet_matches_golden_output_on_K12_3(self, tmp_path, capsys):
-        # the 220 x 220 Laplacian L_2 has a char_poly bound of about 790 bits
-        path = tmp_path / "k123.txt"
-        assert main(["gen", "simplex-skeleton", "12", "3", "--out", str(path)]) == 0
-        assert main(["tau", str(path), "--method", "pseudodet"]) == 0
-        assert capsys.readouterr().out == (GOLDEN / "tau_K12_3_pseudodet.txt").read_text()
-
-    def test_census_export_matches_golden_digest_on_K6_2(self, tmp_path):
-        # 46,620 forests; the CI checks the same digest with sha256sum -c
-        path, census = tmp_path / "k62.txt", tmp_path / "census_K6_2.txt"
-        assert main(["gen", "simplex-skeleton", "6", "2", "--out", str(path)]) == 0
-        assert main(["tau", str(path), "--method", "bruteforce", "--census", str(census)]) == 0
-        digest = hashlib.sha256(census.read_bytes()).hexdigest()
-        assert f"{digest}  census_K6_2.txt\n" == (GOLDEN / "census_K6_2.sha256").read_text()
-
-    def test_critical_on_the_hypercube_five_two_skeleton(self, tmp_path):
-        # a separate interpreter with a timeout, so that a Smith form whose
-        # entries explode fails this test instead of hanging the suite
-        path = tmp_path / "q52.txt"
-        assert main(["gen", "hypercube-skeleton", "5", "2", "--out", str(path)]) == 0
-        src = str(Path(cellforest.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cellforest.cli", "critical", str(path)],
-            capture_output=True, text=True, timeout=30, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert lines[1].startswith("k=0 ") and "order=20776019874734407680 reduced_agrees=yes" in lines[1]
-        assert lines[2].startswith("k=1 ") and "order=64925062108545024000 reduced_agrees=yes" in lines[2]
-        assert lines[3].endswith("relations=ok")
+    def test_critical_on_the_hypercube_five_two_skeleton(self):
+        # separate interpreters with a timeout: Smith forms that explode fail instead of hanging
+        (golden,) = [g for g in GOLDENS if g.timeout is not None]
+        assert render(golden, lambda argv: through_processes(argv, golden.timeout)) == golden.pinned(), golden.name
 
     def test_unknown_family_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
