@@ -97,6 +97,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("dim 2\nfacets 20\n")
 
+    def test_gen_named_and_tau(self, tmp_path):
+        path = tmp_path / "bipyramid.txt"
+        assert main(["gen", "named", "bipyramid", "--out", str(path)]) == 0
+        out_path = tmp_path / "tau.txt"
+        assert main(["tau", str(path), "--k", "2", "--method", "reduced", "--out", str(out_path)]) == 0
+        text = out_path.read_text()
+        assert "value: 15" in text
+        assert "cap:" in text and "seed:" in text
+
+    def test_tau_alternating_rp2(self, tmp_path):
+        path = tmp_path / "rp2.txt"
+        main(["gen", "named", "rp2_six_vertex", "--out", str(path)])
+        out_path = tmp_path / "tau.txt"
+        assert main(["tau", str(path), "--method", "alternating", "--out", str(out_path)]) == 0
+        assert "value: 4" in out_path.read_text()
+
     def test_tau_bruteforce_matches(self, tmp_path):
         path = tmp_path / "moebius.txt"
         main(["gen", "named", "moebius", "--out", str(path)])
@@ -106,6 +122,13 @@ class TestCli:
         assert main(["tau", str(path), "--method", "bruteforce", "--out", str(out_path)]) == 0
         b = out_path.read_text()
         assert "value: 1" in a and "value: 1" in b
+
+    def test_hypothesis_failure_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "moebius.txt"
+        main(["gen", "named", "moebius", "--out", str(path)])
+        code = main(["tau", str(path), "--method", "alternating"])
+        assert code == 2
+        assert "hypothesis failure" in capsys.readouterr().err
 
     def test_cobase_on_formal_dual_names_the_condition(self, tmp_path, capsys):
         from cellforest.complexes import dual_complex, skeleton
@@ -360,14 +383,12 @@ class TestCli:
         assert main(["verify", "duality", "--out", str(out)]) == 0
         assert "RESULT: pass" in out.read_text()
 
-    @pytest.mark.parametrize("golden", [g for g in GOLDENS if g.timeout is None], ids=lambda g: g.name)
+    @pytest.mark.parametrize("golden", GOLDENS, ids=lambda g: g.name)
     def test_output_matches_its_golden_file(self, golden):
-        assert render(golden, in_process) == golden.pinned()
-
-    def test_critical_on_the_hypercube_five_two_skeleton(self):
-        # separate interpreters with a timeout: Smith forms that explode fail instead of hanging
-        (golden,) = [g for g in GOLDENS if g.timeout is not None]
-        assert render(golden, lambda argv: through_processes(argv, golden.timeout)) == golden.pinned(), golden.name
+        # a timed entry runs in separate interpreters, so that a Smith form
+        # whose entries explode fails the test instead of hanging the suite
+        run = in_process if golden.timeout is None else (lambda argv: through_processes(argv, golden.timeout))
+        assert render(golden, run) == golden.pinned()
 
     def test_unknown_family_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
