@@ -138,6 +138,9 @@ def serialize_complex(obj):
         lines.extend(" ".join(str(v) for v in f) for f in facets)
         return "\n".join(lines) + "\n"
     if isinstance(obj, ChainComplex):
+        if obj.dim == 0:  # matrix blocks would carry no vertex count
+            n = obj.n_cells(0)
+            return "\n".join(["dim 0", f"facets {n}", *map(str, range(1, n + 1))]) + "\n"
         lines = [f"dim {obj.dim}"]
         for k in range(1, obj.dim + 1):
             b = obj.boundaries[k]

@@ -14,11 +14,14 @@ survivors of each elimination as leaves.  The search leaves a node at its
 first child without a leaf, because no later sibling has one either: the
 candidates from position p on span a rank that only falls as p grows.  A
 child with fewer candidates than it needs is known dead before it is pushed.
-Cobase roots take their torsion from ``linalg.invariant_factors``, which
-contracts unit pivots before any Smith form, so a root whose rows reduce to
-unit pivots runs none; census leaves read their torsion off their own minor.
-Kernel defects project one kernel basis and one saturated-image basis per
-level onto each cobase (the correspondence theorem, ``_kernel_defect``).
+Census leaves read their torsion off their own minor.  Where beta_k = 0 the
+complements of the cobases at level k are the maximal k-forests (the row
+matroid of d_{k+1} is then dual to the column matroid of d_k), so the cobase
+enumerator walks the forest search over d_k, which reads torsion 1 off a
++-1 minor.  Elsewhere the cobases are searched row-side, roots take
+their torsion from ``linalg.invariant_factors``, and kernel defects project
+one kernel basis and one saturated-image basis per level onto each cobase
+(the correspondence theorem, ``_kernel_defect``).
 
 Enumeration order is lexicographic in cell indices throughout, so censuses
 and reports are deterministic.
@@ -381,12 +384,20 @@ def cobase_defect_enumerator(X, k, cap=None):
 
     Sums, over all row bases S of the (k+1)-st boundary, the squared torsion
     of the complementary root complex times the squared kernel defect of S.
-    On complexes whose rational homology vanishes at levels k and k-1 this
-    reduces to the torsion-weighted count of maximal k-forests.  It too
-    presumes d_k d_{k+1} = 0.
+    Where beta_k = 0 every defect is 1 and, by matroid duality, the roots are
+    exactly the maximal k-forests: the row matroid of d_{k+1} is dual to the
+    column matroid of d_k once im d_{k+1} fills ker d_k over Q.  The sum is
+    then the forest search over d_k, which reads torsion 1 off a +-1 minor.
+    Otherwise the cobases are searched row-side and each is projected for its
+    defect.  It too presumes d_k d_{k+1} = 0.
     """
     ker, sat = _defect_context(X, k)
     bk = boundary_matrix(X, k)
+    if sat is None:
+        # the count of the cobases; at k = dim there is no d_{k+1}, a refusal
+        r = rank(boundary_matrix(X, k + 1))
+        _check_cap(comb(bk.ncols, r), cap, f"cobase enumeration at k={k}")
+        return sum(t * t for _, t in _forests(X, k, bk, bk.ncols - r))
     total = 0
     for cobase in enumerate_cobases(X, k, cap):
         _, root = split_cells(X, k, cobase)

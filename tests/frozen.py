@@ -13,6 +13,7 @@ from itertools import combinations
 from cellforest.complexes import (
     boundary_matrix,
     laplacian,
+    split_cells,
     weighted_laplacian,
     weighted_laplacian_similar,
 )
@@ -28,6 +29,7 @@ from cellforest.linalg import (
     pseudodet,
     rank,
     saturation_basis,
+    torsion_order,
     _canon as _canon_entry,
     _canon as _exactify,
     _eliminate,
@@ -44,7 +46,14 @@ from cellforest.matrix_forest import (
     _weighted_level_factor,
     format_exact,
 )
-from cellforest.oracle import ForestCensus, RootedForest, _check_cap
+from cellforest.oracle import (
+    ForestCensus,
+    RootedForest,
+    _check_cap,
+    _defect_context,
+    _kernel_defect,
+    enumerate_cobases,
+)
 
 
 def _canon(x):
@@ -766,6 +775,21 @@ def cobases_by_combinations(X, k, cap=None):
         if rank(bt.submatrix(range(bt.nrows), rows)) == r:
             out.append(rows)
     return tuple(out)
+
+
+def cobase_defect_enumerator_by_cobases(X, k, cap=None):
+    """``oracle.cobase_defect_enumerator`` before it walked the forests of d_k
+    where beta_k = 0: the row-side cobase search at every level, each root's
+    torsion from its own Smith form."""
+    ker, sat = _defect_context(X, k)
+    bk = boundary_matrix(X, k)
+    total = 0
+    for cobase in enumerate_cobases(X, k, cap):
+        _, root = split_cells(X, k, cobase)
+        t_root = torsion_order(bk.submatrix(range(bk.nrows), root))
+        defect = _kernel_defect(ker, sat, cobase)
+        total += t_root * t_root * defect * defect
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,17 @@ from math import comb
 import pytest
 
 from cellforest import io as cfio
-from cellforest import oracle
+from cellforest import linalg, oracle
 from cellforest.cli import main
-from cellforest.complexes import from_facets
+from cellforest.complexes import dual_complex, from_facets
 from cellforest.families import named_complex, named_simplicial, simplex_skeleton
 from cellforest.homology import betti, homology, torsion
 from cellforest.linalg import _greedy_path, _sparse_columns
 from cellforest.oracle import (
     CapExceeded,
+    _defect_context,
     _independent_subsets,
+    cobase_defect_enumerator,
     enumerate_cobases,
     enumerate_forests,
     enumerate_rooted_forests,
@@ -23,8 +25,17 @@ from cellforest.oracle import (
 )
 
 import frozen
-from corpus import CORPUS, SEED, random_sparse_columns
+from corpus import (
+    CORPUS,
+    SEED,
+    conjugated_smith_complexes,
+    middle_homology_complexes,
+    random_flag_complexes,
+    random_formal_duals,
+    random_sparse_columns,
+)
 from frozen import (
+    cobase_defect_enumerator_by_cobases,
     cobases_by_combinations,
     forests_by_combinations,
     independent_subsets_recursive,
@@ -82,6 +93,65 @@ def test_cobases_match_frozen_loop():
             assert enumerate_cobases(X, k) == want
             compared += 1
     assert compared >= 20
+
+
+def outcome(enumerator, X, k, cap=None):
+    """The enumerator's value, or the type and text of its refusal."""
+    try:
+        return enumerator(X, k, cap=cap)
+    except (ValueError, CapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def test_cobase_enumerator_matches_frozen_cobase_route():
+    # where beta_k = 0 the enumerator walks the forests of d_k, elsewhere the
+    # cobases; the frozen route walks the cobases everywhere
+    levels = {"forests": 0, "cobases": 0, ValueError: 0, CapExceeded: 0}
+    cap = FROZEN_CAP["cobases"]
+    for X in (
+        CORPUS
+        + random_flag_complexes(random.Random(SEED), 16)
+        + random_formal_duals(random.Random(SEED), 12)
+        + conjugated_smith_complexes(random.Random(SEED), 20)
+        + middle_homology_complexes(random.Random(SEED), 20)
+    ):
+        for k in range(X.dim):
+            got = outcome(cobase_defect_enumerator, X, k, cap)
+            assert got == outcome(cobase_defect_enumerator_by_cobases, X, k, cap)
+            if type(got) is tuple:
+                levels[got[0]] += 1
+            else:
+                levels["forests" if _defect_context(X, k)[1] is None else "cobases"] += 1
+    assert levels == {"forests": 123, "cobases": 61, ValueError: 14, CapExceeded: 15}
+
+
+def test_cobase_enumerator_counts_the_twisted_roots_of_K_6_3():
+    # Kalai: the squared torsions of the 2-forests of K_6 sum to 6^C(4,2); the
+    # roots at k = 2 of K_6^3 are those forests, RP^2 triangulations among
+    # them, where a row-side search would walk C(20,10) = 184,756 cobases
+    assert cobase_defect_enumerator(simplex_skeleton(6, 3).to_chain_complex(), 2) == 6**6
+
+
+def test_cobase_enumerator_keeps_every_refusal():
+    # above the top level there is no (k+1)-st boundary, on either branch
+    branches = set()
+    for X in CORPUS:
+        got = outcome(cobase_defect_enumerator, X, X.dim)
+        assert got == outcome(cobase_defect_enumerator_by_cobases, X, X.dim)
+        assert got == (ValueError, f"boundary index {X.dim + 1} out of range for a {X.dim}-complex")
+        branches.add(_defect_context(X, X.dim)[1] is None)
+    assert branches == {True, False}
+    # the formal duals' augmentation composes to nonzero at k = 0
+    for name in ("moebius", "rp2_six_vertex"):
+        with pytest.raises(ValueError, match=r"d_0 d_1 != 0 at level 0"):
+            cobase_defect_enumerator(dual_complex(named_complex(name)), 0)
+    # beta_1 = 0 on rp2_six_vertex, so its roots are forests, but the cap
+    # still counts its C(15,10) cobases
+    rp2 = named_complex("rp2_six_vertex")
+    with pytest.raises(CapExceeded) as exc:
+        cobase_defect_enumerator(rp2, 1, cap=3_002)
+    assert str(exc.value) == "cobase enumeration at k=1 needs 3003 subsets, cap is 3002"
+    assert outcome(cobase_defect_enumerator_by_cobases, rp2, 1, 3_002) == (CapExceeded, str(exc.value))
 
 
 def test_rooted_forests_match_frozen_loop():
@@ -194,6 +264,19 @@ def test_census_search_reaches_its_first_leaf_after_one_elimination_per_pivot(mo
     # ten columns is reached after nine eliminations
     assert next(search) == ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9), 1)
     assert calls[0] == 9
+
+
+def test_cobase_enumerator_on_a_path_is_one_search_over_its_vertices(monkeypatch):
+    # beta_0 = 0, so the 400 roots are the single vertices, the forests of the
+    # augmentation row: a search of size one makes no elimination, and each
+    # of the two ranks of d_1 makes one per pivot.  The row-side cobase
+    # search made 80,998.
+    n = 400
+    X = from_facets(n, [{i, i + 1} for i in range(1, n)]).to_chain_complex()
+    search, ranks = counting_eliminate(monkeypatch, oracle), counting_eliminate(monkeypatch, linalg)
+    assert cobase_defect_enumerator(X, 0) == n
+    assert search[0] == 0
+    assert ranks[0] < 2 * n
 
 
 def test_bruteforce_census_depth_is_not_bound_by_the_recursion_limit(tmp_path, capsys):

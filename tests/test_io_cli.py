@@ -194,6 +194,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: critical groups need dimension at least 1, got dimension 0\n"
 
+    def test_dimension_zero_chain_complex_round_trips(self, tmp_path, capsys):
+        # matrix blocks carry no vertex count, so dim 0 is written in facets form
+        path = tmp_path / "points.txt"
+        assert main(["gen", "hypercube-skeleton", "3", "0", "--out", str(path)]) == 0
+        text = path.read_text()
+        assert text == "dim 0\nfacets 8\n" + "".join(f"{v}\n" for v in range(1, 9))
+        assert cfio.serialize_complex(cfio.parse_complex(text)) == text
+        assert main(["homology", str(path)]) == 0
+        assert capsys.readouterr().out == "dim 0\nk=0 betti=7 torsion=1 factors=-\n"
+
     def test_gen_hypercube_block_sizes(self, capsys):
         assert main(["gen", "hypercube", "3"]) == 0
         out = capsys.readouterr().out
