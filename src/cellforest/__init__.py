@@ -65,6 +65,7 @@ from .oracle import (
     enumerate_cobases,
     enumerate_forests,
     enumerate_rooted_forests,
+    forest_search,
     rooted_forest_torsion_sums,
     tau_bruteforce,
     tau_weighted_bruteforce,

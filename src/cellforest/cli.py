@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from math import prod
 
 from . import io as cfio
 from .complexes import require_boundary_composition, skeleton
@@ -33,7 +35,7 @@ from .matrix_forest import (
     rooted_forest_polynomial,
     tau,
 )
-from .oracle import DEFAULT_CAP, CapExceeded, enumerate_forests
+from .oracle import DEFAULT_CAP, CapExceeded, forest_search
 from .verify import DEFAULT_SEED, SUITES, render_records, run_suite
 
 EXIT_OK = 0
@@ -50,9 +52,9 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _load_complex(path):
+def _load(path, parse=cfio.parse_complex):
     with open(path) as fh:
-        return cfio.parse_complex(fh.read())
+        return parse(fh.read())
 
 
 def integer(text):
@@ -95,19 +97,21 @@ def cmd_gen(args):
 
 
 def cmd_tau(args):
-    X = _load_complex(args.file)
+    if args.census and args.method != "bruteforce":
+        raise ValueError("--census needs --method bruteforce")
+    X = _load(args.file)
     k = X.dim if args.k is None else args.k
-    weights = None
-    if args.weights:
-        with open(args.weights) as fh:
-            weights = cfio.parse_weights(fh.read())
+    weights = _load(args.weights, cfio.parse_weights) if args.weights else None
     if args.method == "bruteforce":
-        census = enumerate_forests(X, k, cap=args.cap)
-        value = census.tau_weighted(X, weights) if weights else census.tau()
-        body = TauReport("bruteforce", k, value).render() + f"\nforests: {len(census.forests)}\n"
-        if args.census:
-            with open(args.census, "w") as fh:
-                fh.write(cfio.serialize_census(X, census))
+        # the cap and every weight are checked before the census file opens
+        forests, labels, value = forest_search(X, k, cap=args.cap), X.labels(k), 0
+        ws = weights.cell_weights(X, k) if weights else None
+        with open(args.census, "w") if args.census else nullcontext() as fh:
+            for count, (facets, t) in enumerate(forests, 1):
+                value += t * t * (prod(ws[i] for i in facets) if ws else 1)
+                if fh:
+                    fh.write(cfio.census_line(labels, facets, t))
+        body = TauReport("bruteforce", k, value).render() + f"\nforests: {count}\n"
     else:
         report = tau(X, k, args.method, weights=weights, cap=args.cap)
         body = report.render() + "\n"
@@ -117,7 +121,7 @@ def cmd_tau(args):
 
 
 def cmd_homology(args):
-    X = _load_complex(args.file)
+    X = _load(args.file)
     ks = [args.k] if args.k is not None else list(range(X.dim + 1))
     lines = [f"dim {X.dim}"]
     for k in ks:
@@ -130,7 +134,7 @@ def cmd_homology(args):
 
 
 def cmd_critical(args):
-    X = _load_complex(args.file)
+    X = _load(args.file)
     if X.dim < 1:
         raise ValueError(f"critical groups need dimension at least 1, got dimension {X.dim}")
     ks = [args.k] if args.k is not None else list(range(X.dim))
@@ -152,7 +156,7 @@ def cmd_critical(args):
 
 
 def cmd_rooted_poly(args):
-    X = _load_complex(args.file)
+    X = _load(args.file)
     poly = rooted_forest_polynomial(X)
     lines = [f"dim {X.dim}", "polynomial: det(L + z*I) on the codim-1 cells"]
     for j, c in enumerate(poly.coeffs):

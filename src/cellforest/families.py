@@ -575,6 +575,3 @@ def named_complex(name):
             (Matrix([[0]]), Matrix([[2]])),
         )
     return named_simplicial(name).to_chain_complex()
-
-
-NAMED_COMPLEXES = tuple(sorted(NAMED_FACETS)) + ("rp2_cell",)

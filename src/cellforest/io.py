@@ -181,6 +181,8 @@ def serialize_weights(w):
     return "\n".join(lines) + "\n"
 
 
-def serialize_census(X, census):
-    """Census export: 'labels ; torsion' lines, lexicographically sorted."""
-    return "\n".join(census.export_lines(X)) + "\n"
+def census_line(labels, facets, torsion):
+    """One census line, 'labels ; torsion'.  A census comes in search order,
+    lexicographic in cell indices, which for matrix-form labels 'k:i' is not
+    string order once a level has 11 cells: '2:2' comes before '2:10'."""
+    return " ".join(labels[i] for i in facets) + f" ; {torsion}\n"

@@ -14,14 +14,16 @@ survivors of each elimination as leaves.  The search leaves a node at its
 first child without a leaf, because no later sibling has one either: the
 candidates from position p on span a rank that only falls as p grows.  A
 child with fewer candidates than it needs is known dead before it is pushed.
-Census leaves read their torsion off their own minor.  Where beta_k = 0 the
-complements of the cobases at level k are the maximal k-forests (the row
-matroid of d_{k+1} is then dual to the column matroid of d_k), so the cobase
-enumerator walks the forest search over d_k, which reads torsion 1 off a
-+-1 minor.  Elsewhere the cobases are searched row-side, roots take
-their torsion from ``linalg.invariant_factors``, and kernel defects project
-one kernel basis and one saturated-image basis per level onto each cobase
-(the correspondence theorem, ``_kernel_defect``).
+Census leaves read their torsion off their own minor.  The census streams:
+``forest_search`` checks the cap and returns the lazy search, which every
+count and sum walks once; only ``enumerate_forests`` keeps the forests.
+Where beta_k = 0 the complements of the cobases at level k are the maximal
+k-forests (the row matroid of d_{k+1} is then dual to the column matroid of
+d_k), so the cobase enumerator walks the forest search over d_k, which reads
+torsion 1 off a +-1 minor.  Elsewhere the cobases are searched row-side,
+roots take their torsion from ``linalg.invariant_factors``, and kernel
+defects project one kernel basis and one saturated-image basis per level
+onto each cobase (the correspondence theorem, ``_kernel_defect``).
 
 Enumeration order is lexicographic in cell indices throughout, so censuses
 and reports are deterministic.
@@ -72,21 +74,6 @@ class ForestCensus:
 
     def tau(self):
         return sum(t * t for _, t in self.forests)
-
-    def tau_weighted(self, X, w):
-        total = Fraction(0)
-        for facets, t in self.forests:
-            mono = Fraction(1)
-            for i in facets:
-                mono *= w[(self.k, i)]
-            total += t * t * mono
-        return total
-
-    def export_lines(self, X):
-        labels = X.labels(self.k)
-        return tuple(
-            " ".join(labels[i] for i in facets) + f" ; {t}" for facets, t in self.forests
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +161,23 @@ def _forests(X, k, b, r):
         yield subset, 1 if minor == 1 else forest_torsion(X, subset, k)
 
 
-@lru_cache(maxsize=8)
-def enumerate_forests(X, k=None, cap=None):
-    """Census of the maximal spanning k-forests of X (k defaults to dim), in
-    the order and with the torsion orders of ``_forests``."""
+def forest_search(X, k=None, cap=None, what="forest census"):
+    """The maximal spanning k-forests of X (k defaults to dim), searched lazily
+    by ``_forests``; ``CapExceeded`` at the call when C(n_k, rank d_k), the
+    column subsets the search can visit, exceeds the cap."""
     k = X.dim if k is None else k
     b = boundary_matrix(X, k)
     r = rank(b)
-    _check_cap(comb(b.ncols, r), cap, f"forest census at k={k}")
-    return ForestCensus(k, r, tuple(_forests(X, k, b, r)))
+    _check_cap(comb(b.ncols, r), cap, f"{what} at k={k}")
+    return _forests(X, k, b, r)
+
+
+@lru_cache(maxsize=8)
+def enumerate_forests(X, k=None, cap=None):
+    """``forest_search`` kept as a ``ForestCensus``; the first forest, which a
+    boundary of any rank has, gives the rank."""
+    forests = tuple(forest_search(X, k, cap))
+    return ForestCensus(X.dim if k is None else k, len(forests[0][0]), forests)
 
 
 def first_torsion_free_forest(X, k):
@@ -204,12 +199,14 @@ def first_torsion_free_forest(X, k):
 
 def tau_bruteforce(X, k=None, cap=None):
     """Torsion-weighted forest count: sum of squared codim-1 torsion orders."""
-    return enumerate_forests(X, k, cap).tau()
+    return sum(t * t for _, t in forest_search(X, k, cap))
 
 
 def tau_weighted_bruteforce(X, k, w, cap=None):
-    """Forest enumerator with weights multiplied over the top cells of each forest."""
-    return enumerate_forests(X, k, cap).tau_weighted(X, w)
+    """Forest enumerator with weights multiplied over the k-cells of each
+    forest; every k-cell needs a weight (``ValueError`` otherwise)."""
+    forests, ws = forest_search(X, k, cap), w.cell_weights(X, k)
+    return sum((t * t * prod(ws[i] for i in facets) for facets, t in forests), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +388,11 @@ def cobase_defect_enumerator(X, k, cap=None):
     Otherwise the cobases are searched row-side and each is projected for its
     defect.  It too presumes d_k d_{k+1} = 0.
     """
+    boundary_matrix(X, k + 1)  # at k = dim there is no d_{k+1}, a refusal
     ker, sat = _defect_context(X, k)
-    bk = boundary_matrix(X, k)
     if sat is None:
-        # the count of the cobases; at k = dim there is no d_{k+1}, a refusal
-        r = rank(boundary_matrix(X, k + 1))
-        _check_cap(comb(bk.ncols, r), cap, f"cobase enumeration at k={k}")
-        return sum(t * t for _, t in _forests(X, k, bk, bk.ncols - r))
+        return sum(t * t for _, t in forest_search(X, k, cap, "cobase enumeration"))
+    bk = boundary_matrix(X, k)
     total = 0
     for cobase in enumerate_cobases(X, k, cap):
         _, root = split_cells(X, k, cobase)

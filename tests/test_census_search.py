@@ -2,14 +2,16 @@
 frozen loops that tested every subset of the right size from scratch."""
 
 import random
-from math import comb
+import tracemalloc
+from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
 from cellforest import io as cfio
 from cellforest import linalg, oracle
 from cellforest.cli import main
-from cellforest.complexes import dual_complex, from_facets
+from cellforest.complexes import WeightAssignment, dual_complex, from_facets
 from cellforest.families import named_complex, named_simplicial, simplex_skeleton
 from cellforest.homology import betti, homology, torsion
 from cellforest.linalg import _greedy_path, _sparse_columns
@@ -22,7 +24,10 @@ from cellforest.oracle import (
     enumerate_forests,
     enumerate_rooted_forests,
     rooted_forest_torsion_sums,
+    tau_bruteforce,
+    tau_weighted_bruteforce,
 )
+from cellforest.verify import run_suite
 
 import frozen
 from corpus import (
@@ -322,7 +327,8 @@ def test_census_export_matches_frozen_census(S, tmp_path):
     path.write_text(cfio.serialize_complex(S))
     assert main(["tau", str(path), "--method", "bruteforce", "--census", str(census)]) == 0
     X = S.to_chain_complex()
-    assert census.read_text() == cfio.serialize_census(X, forests_by_combinations(X))
+    lines = (cfio.census_line(X.labels(2), f, t) for f, t in forests_by_combinations(X).forests)
+    assert census.read_text() == "".join(lines)
 
 
 def test_bruteforce_cap_of_one_exits_3(tmp_path, capsys):
@@ -330,3 +336,33 @@ def test_bruteforce_cap_of_one_exits_3(tmp_path, capsys):
     assert main(["gen", "simplex-skeleton", "5", "2", "--out", str(path)]) == 0
     assert main(["tau", str(path), "--method", "bruteforce", "--cap", "1"]) == 3
     assert capsys.readouterr().err == "cap exceeded: forest census at k=2 needs 210 subsets, cap is 1\n"
+
+
+def test_census_sums_keep_no_forests():
+    # K_7^1 has 7^5 = 16,807 spanning trees.  Kept as a census they peak at
+    # about 2.4 MiB; the sums walk the search and keep a few KiB.  With vertex
+    # weights v, the trees sum to prod(v) * sum(v)^(n-2) (Cayley).
+    S = simplex_skeleton(7, 1)
+    X, v = S.to_chain_complex(), [Fraction(i, i + 1) for i in range(1, 8)]
+    w = WeightAssignment.from_vertex_weights(S, v)
+    tau_bruteforce(X)  # anything built once per complex is built outside the trace
+    for call, want in (
+        (lambda: tau_bruteforce(X), 7**5),
+        (lambda: tau_weighted_bruteforce(X, 1, w), prod(v) * sum(v) ** 5),
+    ):
+        enumerate_forests.cache_clear()  # a census kept there would show in the peak
+        tracemalloc.start()
+        try:
+            got, (_, peak) = call(), tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2**19
+
+
+def test_census_routes_leave_the_census_cache_empty():
+    # every route sums over ``forest_search``; only callers of
+    # ``enumerate_forests`` fill its cache
+    enumerate_forests.cache_clear()
+    assert all(row.status != "FAIL" for row in run_suite("all", seed=1))
+    assert enumerate_forests.cache_info().currsize == 0

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 from cellforest import oracle
-from cellforest.complexes import WeightAssignment, boundary_matrix, from_facets
+from cellforest.complexes import WeightAssignment, boundary_matrix, from_facets, weighted_laplacian
 from cellforest.families import simplex_skeleton
 from cellforest.homology import (
     betti,
@@ -152,11 +152,14 @@ class TestCensus:
     def test_tau_at_k0_counts_vertices(self, bipyramid):
         assert tau_bruteforce(bipyramid, 0) == 5
 
-    def test_export_lines_sorted(self, k3):
-        census = enumerate_forests(k3)
-        lines = census.export_lines(k3)
-        assert lines == tuple(sorted(lines))
-        assert lines[0].endswith("; 1")
+    def test_weight_missing_on_a_zero_column_is_refused(self, rp2_cell):
+        # d_1 of rp2_cell is [[0]]: its one forest at k = 1 is empty and never
+        # reads the edge's weight, yet the weight is required, as the
+        # weighted Laplacian requires it
+        for call in (tau_weighted_bruteforce, weighted_laplacian):
+            with pytest.raises(ValueError, match="^missing weight for a 1-cell$"):
+                call(rp2_cell, 1, WeightAssignment({}))
+        assert tau_weighted_bruteforce(rp2_cell, 1, WeightAssignment({(1, 0): 7})) == 1
 
 
 class TestRootedForests:

@@ -5,7 +5,7 @@ import pytest
 
 from cellforest import io as cfio
 from cellforest.cli import main
-from cellforest.complexes import SimplicialComplex
+from cellforest.complexes import SimplicialComplex, from_facets
 from cellforest.families import hypercube_complex, named_complex, named_simplicial
 from cellforest.oracle import enumerate_forests
 
@@ -86,9 +86,24 @@ class TestWeightFormat:
 
 class TestCensusExport:
     def test_lines(self, k3):
-        census = enumerate_forests(k3)
-        text = cfio.serialize_census(k3, census)
-        assert text == "1,2 1,3 ; 1\n1,2 2,3 ; 1\n1,3 2,3 ; 1\n"
+        lines = [cfio.census_line(k3.labels(1), f, t) for f, t in enumerate_forests(k3).forests]
+        assert lines == ["1,2 1,3 ; 1\n", "1,2 2,3 ; 1\n", "1,3 2,3 ; 1\n"]
+
+    def test_lines_follow_cell_indices_not_label_strings(self, tmp_path):
+        # a 12-cycle in matrix form, edges labelled 1:0 .. 1:11: the tree that
+        # drops edge j comes before the one that drops j - 1, and 1:10 follows
+        # 1:9 within a line, where string order puts 1:10 before 1:2
+        cycle = from_facets(12, [{i, i % 12 + 1} for i in range(1, 13)]).to_chain_complex()
+        path, census = tmp_path / "c12.txt", tmp_path / "census.txt"
+        path.write_text(cfio.serialize_complex(cycle))
+        assert cfio.parse_complex(path.read_text()).labels(1)[10] == "1:10"
+        assert main(["tau", str(path), "--method", "bruteforce", "--census", str(census)]) == 0
+        lines = census.read_text().splitlines()
+        assert lines == [
+            " ".join(f"1:{i}" for i in range(12) if i != drop) + " ; 1" for drop in range(11, -1, -1)
+        ]
+        assert lines != sorted(lines)
+        assert all(labels != sorted(labels) for labels in (line[:-4].split() for line in lines))
 
 
 class TestCli:
@@ -368,6 +383,27 @@ class TestCli:
         assert main(["tau", str(cpath), "--method", method, "--weights", str(wpath)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: missing weight for a ") and err.count("\n") == 1
+
+    def test_census_needs_the_bruteforce_method(self, tmp_path, capsys):
+        cpath, census = tmp_path / "bipyramid.txt", tmp_path / "census.txt"
+        main(["gen", "named", "bipyramid", "--out", str(cpath)])
+        assert main(["tau", str(cpath), "--method", "reduced", "--census", str(census)]) == 2
+        assert capsys.readouterr().err == "error: --census needs --method bruteforce\n"
+        assert not census.exists()
+
+    @pytest.mark.parametrize("refusal, code, err", [
+        (["--cap", "1"], 3, "cap exceeded: forest census at k=2 needs 4 subsets, cap is 1\n"),
+        (["--weights", "{weights}"], 2, "error: missing weight for a 2-cell\n"),
+    ])
+    def test_refused_census_writes_no_file(self, tmp_path, capsys, refusal, code, err):
+        cpath, wpath, census = tmp_path / "k42.txt", tmp_path / "w.txt", tmp_path / "census.txt"
+        main(["gen", "simplex-skeleton", "4", "2", "--out", str(cpath)])
+        wpath.write_text("2 0 3\n")
+        capsys.readouterr()
+        argv = ["tau", str(cpath), "--method", "bruteforce", "--census", str(census)]
+        assert main(argv + [arg.format(weights=wpath) for arg in refusal]) == code
+        assert capsys.readouterr().err == err
+        assert not census.exists()
 
     def test_census_export_flag(self, tmp_path):
         cpath = tmp_path / "k3.txt"
