@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from fractions import Fraction
 from math import prod
 
 from . import io as cfio
-from .complexes import require_boundary_composition, skeleton
+from .complexes import _integer_weights, require_boundary_composition, skeleton
 from .critical import critical_group, critical_group_reduced, sequence_order_check
 from .families import (
     complete_colorful,
@@ -63,9 +64,20 @@ def integer(text):
     return value
 
 
+# the parameters of each family that takes a fixed number of them
+PARAMETERS = {"simplex-skeleton": "n d", "hypercube": "n", "hypercube-skeleton": "n k", "named": "name"}
+
+
 def _generate(args):
     family = args.family
     params = args.params
+    if family in PARAMETERS:
+        names = PARAMETERS[family].split()
+        if len(params) != len(names):
+            plural = "s" if len(names) > 1 else ""
+            raise ValueError(
+                f"{family} takes {len(names)} parameter{plural} ({PARAMETERS[family]}), got {len(params)}"
+            )
     if family == "simplex-skeleton":
         n, d = map(integer, params)
         return cfio.serialize_complex(simplex_skeleton(n, d))
@@ -103,14 +115,16 @@ def cmd_tau(args):
     k = X.dim if args.k is None else args.k
     weights = _load(args.weights, cfio.parse_weights) if args.weights else None
     if args.method == "bruteforce":
-        # the cap and every weight are checked before the census file opens
+        # the cap and every weight are checked before the census file opens;
+        # the weights are scaled to integers by q, and the sum divided by q^r
         forests, labels, value = forest_search(X, k, cap=args.cap), X.labels(k), 0
-        ws = weights.cell_weights(X, k) if weights else None
+        ws, q = _integer_weights(weights.cell_weights(X, k)) if weights else (None, 1)
         with open(args.census, "w") if args.census else nullcontext() as fh:
             for count, (facets, t) in enumerate(forests, 1):
                 value += t * t * (prod(ws[i] for i in facets) if ws else 1)
                 if fh:
                     fh.write(cfio.census_line(labels, facets, t))
+        value = Fraction(value, q ** len(facets))
         body = TauReport("bruteforce", k, value).render() + f"\nforests: {count}\n"
     else:
         report = tau(X, k, args.method, weights=weights, cap=args.cap)

@@ -213,6 +213,13 @@ class WeightAssignment:
         return WeightAssignment({(X.dim - k, i): 1 / w for (k, i), w in self._weights.items()})
 
 
+def _integer_weights(weights):
+    """(ws, q): the weights times q, the lcm of their denominators, as ints, so
+    a product of r of them is an integer over q^r."""
+    q = lcm(*(x.denominator for x in weights))
+    return [x.numerator * (q // x.denominator) for x in weights], q
+
+
 def _gram(b, weights=None):
     """(G, q): the integer matrix G with b D b^T = G / q, D the diagonal of the
     column weights (all 1 if ``weights`` is None), q their denominators' lcm.
@@ -222,12 +229,9 @@ def _gram(b, weights=None):
     pair (i, j) of its nonzero entries, so no rational arithmetic and no dense
     product is done.
     """
-    if weights is None:
-        weights = (1,) * b.ncols
-    q = lcm(*(x.denominator for x in weights))
+    ws, q = _integer_weights((1,) * b.ncols if weights is None else weights)
     G = [{} for _ in range(b.nrows)]
-    for x, col in zip(weights, _sparse_columns(b)):
-        wq = x.numerator * (q // x.denominator)
+    for wq, col in zip(ws, _sparse_columns(b)):
         for i, vi in col.items():
             Gi, vw = G[i], vi * wq
             for j, vj in col.items():

@@ -30,26 +30,19 @@ class HomologySummary:
         return body or "0"
 
 
-def _nullity(X, k):
-    d = X.dim
-    if not 0 <= k <= d:
-        raise ValueError(f"homology index {k} out of range for a {d}-complex")
-    return X.n_cells(k) - rank(boundary_matrix(X, k))
+def _check_index(X, k):
+    if not 0 <= k <= X.dim:
+        raise ValueError(f"homology index {k} out of range for a {X.dim}-complex")
 
 
 def homology(X, k):
-    """Reduced homology summary at dimension k (torsion via Smith form)."""
-    d = X.dim
-    nullity = _nullity(X, k)
-    if k < d:
-        # the invariant factors are the nonzero ones, so their count is the rank
-        invariants = invariant_factors(boundary_matrix(X, k + 1))
-        factors = tuple(f for f in invariants if f > 1)
-        betti = nullity - len(invariants)
-    else:
-        factors = ()
-        betti = nullity
-    return HomologySummary(k, betti, prod(factors), factors)
+    """Reduced homology summary at dimension k (torsion via Smith form); the
+    factors of d_{k+1} come first, so ``betti`` reads its memoized rank."""
+    _check_index(X, k)
+    factors = ()
+    if k < X.dim:
+        factors = tuple(f for f in invariant_factors(boundary_matrix(X, k + 1)) if f > 1)
+    return HomologySummary(k, betti(X, k), prod(factors), factors)
 
 
 def betti(X, k):
@@ -59,7 +52,8 @@ def betti(X, k):
     """
     if k < 0:
         return 0
-    nullity = _nullity(X, k)
+    _check_index(X, k)
+    nullity = X.n_cells(k) - rank(boundary_matrix(X, k))
     return nullity - rank(boundary_matrix(X, k + 1)) if k < X.dim else nullity
 
 

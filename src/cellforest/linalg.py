@@ -42,6 +42,8 @@ Conventions:
   transposes and eliminations of the mostly zero boundaries and Laplacians
   cost only those; ``data`` is a dense view built on request.  Zero-by-n and
   n-by-zero shapes are legal (empty lattice bases, fully-rooted boundaries).
+  Its rank and invariant factors are memoized privately, each computed at
+  most once; ``==`` and ``hash`` read only the entries, as before.
 * Characteristic polynomials are monic in ``z`` with coefficients stored in
   ascending order, so ``coeffs[k]`` multiplies ``z**k``.
 * Smith normal form returns positive invariant factors ``d_1 | d_2 | ... | d_r``
@@ -73,9 +75,11 @@ def _canon(x):
 
 class Matrix:
     """Immutable sparse matrix over exact integers / rationals: row i is the
-    {column: value} dict ``_rows[i]`` of its nonzeros, in ascending column order."""
+    {column: value} dict ``_rows[i]`` of its nonzeros, in ascending column order.
+    ``rank`` and ``invariant_factors`` memoize their results in ``_rank`` and
+    ``_factors``, which ``==`` and ``hash`` ignore."""
 
-    __slots__ = ("nrows", "ncols", "_rows", "is_integral")
+    __slots__ = ("nrows", "ncols", "_rows", "is_integral", "_rank", "_factors")
 
     def __init__(self, rows, ncols=None):
         rows = list(map(tuple, rows))
@@ -108,6 +112,7 @@ class Matrix:
         self.nrows = len(self._rows)
         self.ncols = ncols
         self.is_integral = integral
+        self._rank = self._factors = None
 
     @classmethod
     def _from_rows(cls, rows, ncols, integral=None):
@@ -397,8 +402,10 @@ def greedy_row_basis(M):
 
 
 def rank(M):
-    """Exact rank over the rationals."""
-    return len(greedy_column_basis(M))
+    """Exact rank over the rationals, searched at most once per matrix."""
+    if M._rank is None:
+        M._rank = len(greedy_column_basis(M))
+    return M._rank
 
 
 def det(M):
@@ -660,6 +667,8 @@ def invariant_factors(M):
     """
     if not M.is_integral:
         raise ValueError("invariant factors require an integer matrix")
+    if M._factors is not None:
+        return M._factors
     cands = [(j, w, 1, 1) for j, w in enumerate(_sparse_rows(M)) if w]
     ones = 0
     i = 0
@@ -677,17 +686,19 @@ def invariant_factors(M):
             i = 0
         else:
             i += 1
-    if not cands:
-        return (1,) * ones
-    at = {c: k for k, c in enumerate(sorted({c for _, w, _, _ in cands for c in w}))}
-    dense = []
-    for _, w, _, g in cands:
-        row = [0] * len(at)
-        for c, x in w.items():
-            row[at[c]] = g * x
-        dense.append(row)
-    factors, _, _ = _smith(dense, [()] * len(dense), [()] * len(at))
-    return (1,) * ones + tuple(factors)
+    factors = []
+    if cands:
+        at = {c: k for k, c in enumerate(sorted({c for _, w, _, _ in cands for c in w}))}
+        dense = []
+        for _, w, _, g in cands:
+            row = [0] * len(at)
+            for c, x in w.items():
+                row[at[c]] = g * x
+            dense.append(row)
+        factors, _, _ = _smith(dense, [()] * len(dense), [()] * len(at))
+    M._factors = (1,) * ones + tuple(factors)
+    M._rank = len(M._factors)
+    return M._factors
 
 
 def torsion_order(M):

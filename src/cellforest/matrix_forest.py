@@ -231,17 +231,13 @@ def _alternating_product(X, formula, level_factor):
     """
     d = X.dim
     _require(d >= 1, f"{formula} needs dimension at least 1")
-    # one homology pass per level below codimension 1 serves both checks, so
-    # each interior boundary is ranked once; the top boundary is only ranked
-    acyclic = "alternating product needs acyclicity below the top"
-    below = []
-    for k in range(d - 1):
-        below.append(homology(X, k))
-        _require(below[k].betti == 0, f"beta_{k}(X) != 0: {acyclic}")
-    _require(betti(X, d - 1) == 0, f"beta_{d - 1}(X) != 0: {acyclic}")
-    for k, h in enumerate(below):
+    for k in range(d):
         _require(
-            h.torsion_order == 1,
+            betti(X, k) == 0, f"beta_{k}(X) != 0: alternating product needs acyclicity below the top"
+        )
+    for k in range(d - 1):
+        _require(
+            torsion(X, k) == 1,
             f"t_{k}(X) != 1: alternating product needs torsion-free homology below codimension 1",
         )
     lams = [level_factor(i) for i in range(d + 1)]

@@ -48,8 +48,8 @@ from .linalg import (
     saturation_basis,
     torsion_order,
 )
-from .complexes import boundary_matrix, require_boundary_composition, split_cells
-from .homology import forest_torsion
+from .complexes import _integer_weights, boundary_matrix, require_boundary_composition, split_cells
+from .homology import betti, forest_torsion
 
 DEFAULT_CAP = 5_000_000
 
@@ -174,10 +174,9 @@ def forest_search(X, k=None, cap=None, what="forest census"):
 
 @lru_cache(maxsize=8)
 def enumerate_forests(X, k=None, cap=None):
-    """``forest_search`` kept as a ``ForestCensus``; the first forest, which a
-    boundary of any rank has, gives the rank."""
-    forests = tuple(forest_search(X, k, cap))
-    return ForestCensus(X.dim if k is None else k, len(forests[0][0]), forests)
+    """``forest_search`` kept as a ``ForestCensus``."""
+    k = X.dim if k is None else k
+    return ForestCensus(k, rank(boundary_matrix(X, k)), tuple(forest_search(X, k, cap)))
 
 
 def first_torsion_free_forest(X, k):
@@ -204,9 +203,13 @@ def tau_bruteforce(X, k=None, cap=None):
 
 def tau_weighted_bruteforce(X, k, w, cap=None):
     """Forest enumerator with weights multiplied over the k-cells of each
-    forest; every k-cell needs a weight (``ValueError`` otherwise)."""
-    forests, ws = forest_search(X, k, cap), w.cell_weights(X, k)
-    return sum((t * t * prod(ws[i] for i in facets) for facets, t in forests), Fraction(0))
+    forest; every k-cell needs a weight (``ValueError`` otherwise).  The sum
+    runs over the weights scaled to integers by q and is divided by q^r once,
+    r the size of every forest."""
+    forests = forest_search(X, k, cap)
+    ws, q = _integer_weights(w.cell_weights(X, k))
+    total = sum(t * t * prod(ws[i] for i in facets) for facets, t in forests)
+    return Fraction(total, q ** rank(boundary_matrix(X, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +335,15 @@ def _defect_context(X, k):
     every cobase at level k.  The image must lie in ker d_k, i.e.
     d_k d_{k+1} = 0, which formal duals and matrix-form input never check at
     k = 0; d_{k+1} spans the same rational space as its saturation, so the
-    check runs on it.  When rank d_{k+1} equals the nullity, the saturated
-    image is all of ker d_k and every defect is 1, so neither basis is
+    check runs on it.  When beta_k = 0, rank d_{k+1} equals the nullity: the
+    saturated image is all of ker d_k and every defect is 1, so neither basis is
     computed and ``(None, None)`` stands for them.
     """
     require_boundary_composition(X, k)
     bk = boundary_matrix(X, k)
-    nullity = bk.ncols - rank(bk)
-    b = boundary_matrix(X, k + 1) if k < X.dim else Matrix.zeros(bk.ncols, 0)
-    if rank(b) == nullity:
+    if betti(X, k) == 0:
         return None, None
+    b = boundary_matrix(X, k + 1) if k < X.dim else Matrix.zeros(bk.ncols, 0)
     return kernel_lattice_basis(bk), saturation_basis(b)
 
 

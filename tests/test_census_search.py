@@ -15,6 +15,7 @@ from cellforest.complexes import WeightAssignment, dual_complex, from_facets
 from cellforest.families import named_complex, named_simplicial, simplex_skeleton
 from cellforest.homology import betti, homology, torsion
 from cellforest.linalg import _greedy_path, _sparse_columns
+from cellforest.matrix_forest import format_exact
 from cellforest.oracle import (
     CapExceeded,
     _defect_context,
@@ -38,6 +39,7 @@ from corpus import (
     random_flag_complexes,
     random_formal_duals,
     random_sparse_columns,
+    random_weights,
 )
 from frozen import (
     cobase_defect_enumerator_by_cobases,
@@ -366,3 +368,21 @@ def test_census_routes_leave_the_census_cache_empty():
     enumerate_forests.cache_clear()
     assert all(row.status != "FAIL" for row in run_suite("all", seed=1))
     assert enumerate_forests.cache_info().currsize == 0
+
+
+def test_weighted_census_sums_match_the_fraction_sum(tmp_path, capsys):
+    # the library and the CLI scale the weights to integers by the lcm q of
+    # their denominators and divide by q^r once; both give the sum of one
+    # Fraction product per forest, here on seeded weights over CORPUS
+    path, wpath = tmp_path / "X.txt", tmp_path / "w.txt"
+    for n, X in enumerate(CORPUS):
+        w = random_weights(random.Random(SEED + n), X)
+        path.write_text(cfio.serialize_complex(X))
+        wpath.write_text(cfio.serialize_weights(w))
+        for k in range(1, X.dim + 1):
+            ws = w.cell_weights(X, k)
+            want = sum((t * t * prod(ws[i] for i in f) for f, t in oracle.forest_search(X, k)), Fraction(0))
+            assert tau_weighted_bruteforce(X, k, w) == want, (n, k)
+            argv = ["tau", str(path), "--k", str(k), "--method", "bruteforce", "--weights", str(wpath)]
+            assert main(argv) == 0
+            assert f"\nvalue: {format_exact(want)}\n" in capsys.readouterr().out, (n, k)

@@ -236,6 +236,16 @@ class TestCli:
         assert main(["gen", "shifted", "2,3,5"]) == 0
         assert "facets 7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simplex-skeleton", "5"], "simplex-skeleton takes 2 parameters (n d), got 1"),
+        (["hypercube", "1", "2"], "hypercube takes 1 parameter (n), got 2"),
+        (["hypercube-skeleton", "3", "1", "2"], "hypercube-skeleton takes 2 parameters (n k), got 3"),
+        (["named", "bipyramid", "extra"], "named takes 1 parameter (name), got 2"),
+    ])
+    def test_gen_refuses_a_wrong_parameter_count(self, capsys, argv, message):
+        assert main(["gen", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_homology_rejects_nonzero_composition(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("dim 2\nmatrix 1 2 1\n-1\n1\nmatrix 2 1 1\n1\n")

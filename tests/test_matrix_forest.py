@@ -5,10 +5,11 @@ from math import comb
 
 import pytest
 
-from cellforest import matrix_forest
+from cellforest import linalg, matrix_forest
 from cellforest.complexes import WeightAssignment, dual_complex, from_facets, skeleton
 from cellforest.families import complete_colorful, hypercube_complex, simplex_skeleton
-from cellforest.homology import relative_homology_torsion
+from cellforest.homology import homology, relative_homology_torsion
+from cellforest.linalg import Matrix, invariant_factors, rank
 from cellforest.matrix_forest import (
     HypothesisError,
     METHODS,
@@ -28,6 +29,7 @@ from cellforest.matrix_forest import (
 )
 from cellforest.oracle import (
     CapExceeded,
+    cobase_defect_enumerator,
     enumerate_forests,
     enumerate_rooted_forests,
     rooted_forest_torsion_sums,
@@ -358,6 +360,46 @@ class TestCrossMethodAgreement:
                         assert got == want, (n, k, name, weights is not None, want, got)
                         outcomes["equal"] += 1
         assert outcomes == {"equal": 383, "refused": 85, "d0d1": 4, "capped": 1}
+
+    def test_memoized_ranks_and_factors_match_fresh_copies(self):
+        # every route at every k on CORPUS, then the rank and invariant
+        # factors memoized on each stored boundary against a fresh copy
+        memos = Counter()
+        for n, X in enumerate(CORPUS):
+            w = random_weights(random.Random(SEED + n), X)
+            for k in range(X.dim + 1):
+                routes = [lambda: homology(X, k)]
+                if k >= 1:
+                    routes += [lambda: tau_bruteforce(X, k), lambda: tau_weighted_bruteforce(X, k, w)]
+                    routes += [lambda name=name: tau(X, k, name, w if name in WEIGHT_REQUIRED else None,
+                                                     cap=20_000) for name in METHODS]
+                if k < X.dim:
+                    routes.append(lambda: cobase_defect_enumerator(X, k, cap=20_000))
+                for route in routes:
+                    try:
+                        route()
+                    except (ValueError, CapExceeded):  # refusals, HypothesisError among them
+                        pass
+            for b in X.boundaries:
+                fresh = Matrix(b.data, ncols=b.ncols)
+                if b._rank is not None:
+                    assert b._rank == rank(fresh)
+                    memos["rank"] += 1
+                if b._factors is not None:
+                    assert b._factors == invariant_factors(fresh)
+                    memos["factors"] += 1
+        boundaries = sum(len(X.boundaries) for X in CORPUS)
+        assert memos["rank"] == boundaries and memos["factors"] > boundaries // 2
+
+    def test_tau_reduced_ranks_each_boundary_once(self, monkeypatch):
+        # rank searches go through linalg.greedy_column_basis; without the
+        # memo one call on K_12^3 searched d_2 four times and d_3 twice
+        X = simplex_skeleton(12, 3).to_chain_complex()
+        searched = Counter()
+        basis = linalg.greedy_column_basis
+        monkeypatch.setattr(linalg, "greedy_column_basis", lambda M: searched.update([id(M)]) or basis(M))
+        tau_reduced(X)
+        assert max(searched[id(b)] for b in X.boundaries) == 1
 
     def test_correction_factors_trivial_when_z_apc(self, bipyramid, k4):
         for X in (bipyramid, k4):

@@ -118,7 +118,9 @@ def unit_contraction(M):
 
 
 def test_invariant_factors_match_smith_form_and_take_both_branches(monkeypatch):
-    matrices = [M for M in complex_matrices() + random_matrices() + EMPTY if M.is_integral]
+    # fresh copies: a matrix whose factors are memoized runs no Smith form
+    matrices = [Matrix(M.data, ncols=M.ncols) for M in complex_matrices() + random_matrices() + EMPTY
+                if M.is_integral]
     matrices.append(Matrix([[2, 3]]))
     smith_inputs = []
     smith = linalg._smith
@@ -144,6 +146,25 @@ def test_invariant_factors_match_smith_form_and_take_both_branches(monkeypatch):
     # an empty residual has every factor 1; a residual may still have every
     # factor 1, as [[2, 3]] and the conjugated Smith complexes do, or not
     assert branches == {(False, True), (True, True), (True, False)}
+
+
+def test_rank_and_invariant_factors_run_once_per_matrix(monkeypatch):
+    runs = []
+    for name in ("_greedy_path", "_smith"):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, fn=fn, name=name: runs.append(name) or fn(*args))
+    rows = [[2, 4, 6], [4, 2, 0]]  # no entry +-1, so the factors need the Smith form
+    M = Matrix(rows)
+    assert rank(M) == rank(M) == 2
+    assert runs == ["_greedy_path"]
+    assert invariant_factors(M) == invariant_factors(M) == (2, 6)
+    assert runs == ["_greedy_path", "_smith"]
+    # the factors give the rank, so a fresh copy ranked after them runs no search
+    N = Matrix(rows)
+    assert invariant_factors(N) == (2, 6) and rank(N) == 2
+    assert runs == ["_greedy_path", "_smith", "_smith"]
+    # the memo is invisible to value semantics
+    assert N == M == Matrix(rows) and hash(N) == hash(M) == hash(Matrix(rows))
 
 
 def test_smith_sees_only_the_residual_of_colorful_critical_groups(monkeypatch):
