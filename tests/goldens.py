@@ -46,6 +46,12 @@ GOLDENS = (
     # six methods at every level 1..dim of seven complexes: 90 reports, refusals included
     Golden("tau_reports.txt", [(gen, f"tau {{complex}} --k {k} --method {method}")
                                for dim, gen in REPORTED for k in range(1, dim + 1) for method in METHODS]),
+    # levels whose k-cells are fewer than their (k-1)-cells
+    Golden("tau_spectral_sides.txt",
+           [(gen, f"tau {{complex}} --method {method}")
+            for gen in ("hypercube-skeleton 4 3", "hypercube-skeleton 5 3", "colorful 2 2 2 2")
+            for method in ("pseudodet", "alternating")]
+           + [(gen, "rooted-poly {complex}") for gen in ("hypercube 3", "hypercube 4", "simplex-skeleton 5 3")]),
 )
 
 
