@@ -239,13 +239,24 @@ def _gram(b, weights=None):
     return [{j: Gi[j] for j in sorted(Gi) if Gi[j]} for Gi in G], q
 
 
+def _weighted_gram(b, weights, scale=None):
+    """diag(scale) b D b^T as an exact rational ``Matrix``: the ``_gram`` of b
+    with column weights D, its row i times ``scale[i]`` (all 1 if None)."""
+    G, q = _gram(b, weights)
+    scale = (1,) * len(G) if scale is None else scale
+    rows = [
+        {j: Fraction(v * s.numerator, q * s.denominator) for j, v in row.items()}
+        for s, row in zip(scale, G)
+    ]
+    return Matrix._from_rows(rows, len(G))
+
+
 def weighted_laplacian(X, k, w):
     """Weighted Laplacian d_k D_k d_k^T on the (k-1)-cells (exact rational).
 
     With all weights 1 this is ``laplacian(X, k-1, "ud")``.
     """
-    G, q = _gram(boundary_matrix(X, k), w.cell_weights(X, k))
-    return Matrix._from_rows([{j: Fraction(x, q) for j, x in row.items()} for row in G], len(G))
+    return _weighted_gram(boundary_matrix(X, k), w.cell_weights(X, k))
 
 
 def weighted_laplacian_similar(X, k, w):
@@ -256,13 +267,9 @@ def weighted_laplacian_similar(X, k, w):
     contractually meaningful.  k = 0 yields the 1x1 matrix [sum of vertex
     weights].
     """
-    G, q = _gram(boundary_matrix(X, k), w.cell_weights(X, k))
     # row i is divided by the weight of the i-th (k-1)-cell (the empty face's is 1)
-    rows = [
-        {j: Fraction(v * x.denominator, q * x.numerator) for j, v in row.items()}
-        for x, row in zip(w.cell_weights(X, k - 1), G)
-    ]
-    return Matrix._from_rows(rows, len(G))
+    inverse = [1 / x for x in w.cell_weights(X, k - 1)]
+    return _weighted_gram(boundary_matrix(X, k), w.cell_weights(X, k), inverse)
 
 
 def split_cells(X, k, cells):

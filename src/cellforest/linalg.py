@@ -42,8 +42,10 @@ Conventions:
   transposes and eliminations of the mostly zero boundaries and Laplacians
   cost only those; ``data`` is a dense view built on request.  Zero-by-n and
   n-by-zero shapes are legal (empty lattice bases, fully-rooted boundaries).
-  Its rank and invariant factors are memoized privately, each computed at
-  most once; ``==`` and ``hash`` read only the entries, as before.
+  Its greedy column basis, rank and invariant factors are memoized
+  privately, each computed at most once, and the rank is read off whichever
+  of the other two came first; ``==`` and ``hash`` read only the entries, as
+  before.
 * Characteristic polynomials are monic in ``z`` with coefficients stored in
   ascending order, so ``coeffs[k]`` multiplies ``z**k``.
 * Smith normal form returns positive invariant factors ``d_1 | d_2 | ... | d_r``
@@ -76,10 +78,11 @@ def _canon(x):
 class Matrix:
     """Immutable sparse matrix over exact integers / rationals: row i is the
     {column: value} dict ``_rows[i]`` of its nonzeros, in ascending column order.
-    ``rank`` and ``invariant_factors`` memoize their results in ``_rank`` and
-    ``_factors``, which ``==`` and ``hash`` ignore."""
+    ``greedy_column_basis``, ``rank`` and ``invariant_factors`` memoize their
+    results in ``_basis``, ``_rank`` and ``_factors``, which ``==`` and
+    ``hash`` ignore."""
 
-    __slots__ = ("nrows", "ncols", "_rows", "is_integral", "_rank", "_factors")
+    __slots__ = ("nrows", "ncols", "_rows", "is_integral", "_basis", "_rank", "_factors")
 
     def __init__(self, rows, ncols=None):
         rows = list(map(tuple, rows))
@@ -112,7 +115,7 @@ class Matrix:
         self.nrows = len(self._rows)
         self.ncols = ncols
         self.is_integral = integral
-        self._rank = self._factors = None
+        self._basis = self._rank = self._factors = None
 
     @classmethod
     def _from_rows(cls, rows, ncols, integral=None):
@@ -392,8 +395,11 @@ def _greedy_path(cols):
 
 
 def greedy_column_basis(M):
-    """Lexicographically first maximal independent set of column indices."""
-    return _greedy_path(_sparse_columns(M))[0]
+    """Lexicographically first maximal independent set of column indices,
+    searched at most once per matrix."""
+    if M._basis is None:
+        M._basis = _greedy_path(_sparse_columns(M))[0]
+    return M._basis
 
 
 def greedy_row_basis(M):
@@ -402,7 +408,8 @@ def greedy_row_basis(M):
 
 
 def rank(M):
-    """Exact rank over the rationals, searched at most once per matrix."""
+    """Exact rank over the rationals: the size of the memoized greedy column
+    basis, unless ``invariant_factors`` has already set it."""
     if M._rank is None:
         M._rank = len(greedy_column_basis(M))
     return M._rank

@@ -21,6 +21,14 @@ optionally weighted by a product of top-cell weights.  The routes:
                           for the algebraically weighted Laplacian, where lower
                           dimensional weights enter.
 
+The spectral routes take level k's pseudodeterminant on the fewer of the
+(k-1)-cells and the k-cells (the (k-1)-cells on a tie): its Laplacian is a
+product AB, and BA has the same nonzero eigenvalues with multiplicity (Horn
+and Johnson, *Matrix Analysis*, 2nd ed., Thm 1.3.22).
+``rooted_forest_polynomial`` uses Sylvester's identity likewise.  The values
+still come from ``char_poly``, so these routes stay independent of the
+determinant routes.
+
 All hypotheses are checked before any determinant is taken; a violated check
 raises ``HypothesisError`` naming the offending Betti number or torsion order.
 Every report records the correction factors actually used, so cross-method
@@ -34,6 +42,7 @@ from fractions import Fraction
 from math import prod
 
 from .linalg import (
+    CharPoly,
     _canon,
     _sparse_columns,
     char_poly,
@@ -46,6 +55,7 @@ from .linalg import (
     torsion_order,
 )
 from .complexes import (
+    _weighted_gram,
     boundary_matrix,
     laplacian,
     skeleton,
@@ -107,7 +117,7 @@ def default_root(X):
     """
     d = X.dim
     if betti(X, d - 1) == 0:
-        return tuple(greedy_column_basis(boundary_matrix(X, d - 1)))
+        return greedy_column_basis(boundary_matrix(X, d - 1))
     return split_cells(X, d - 1, default_cobase(X))[1]
 
 
@@ -124,6 +134,27 @@ def _top_laplacian(X, weights):
     if weights is None:
         return laplacian(X, X.dim - 1, "ud")
     return weighted_laplacian(X, X.dim, weights)
+
+
+def _level_pseudodet(X, k, weights=None, similar=False):
+    """The pseudodeterminant of level k's Laplacian on the smaller side.
+
+    On the (k-1)-cells that is ``laplacian(X, k-1, "ud")``,
+    ``weighted_laplacian(X, k, weights)`` or, with ``similar``,
+    ``weighted_laplacian_similar(X, k, weights)``; on the k-cells it is
+    d_k^T d_k, D_k d_k^T d_k or D_k d_k^T D_{k-1}^-1 d_k.
+    """
+    if X.n_cells(k) >= X.n_cells(k - 1):
+        if weights is None:
+            return pseudodet(laplacian(X, k - 1, "ud"))
+        if similar:
+            return pseudodet(weighted_laplacian_similar(X, k, weights))
+        return pseudodet(weighted_laplacian(X, k, weights))
+    if weights is None:
+        return pseudodet(laplacian(X, k, "du"))
+    inverse = [1 / x for x in weights.cell_weights(X, k - 1)] if similar else None
+    d_t = boundary_matrix(X, k).transpose()
+    return pseudodet(_weighted_gram(d_t, inverse, weights.cell_weights(X, k)))
 
 
 def tau_reduced(X, root=None, weights=None):
@@ -210,7 +241,7 @@ def tau_pseudodet(X, weights=None):
 
     def level_factor(k):
         # weights apply at the top level only
-        return pseudodet(_top_laplacian(X, weights) if k == d else laplacian(X, k - 1, "ud"))
+        return _level_pseudodet(X, k, weights if k == d else None)
 
     value, lam, t_x, below = _eigen_levels(X, level_factor, "eigenvalue-product formula")
     return TauReport(
@@ -224,8 +255,8 @@ def tau_pseudodet(X, weights=None):
 
 
 def _alternating_product(X, formula, level_factor):
-    """The alternating product over levels i = 0..d of ``level_factor(i)`` (a
-    pseudodeterminant on the (i-1)-cells), level i to the power (-1)^(d-i),
+    """The alternating product over levels i = 0..d of ``level_factor(i)`` (the
+    pseudodeterminant of level i's Laplacian), level i to the power (-1)^(d-i),
     after checking the hypotheses of ``tau_alternating`` (``formula`` names
     the product if the dimension is below 1).  Returns (value, the factors).
     """
@@ -253,7 +284,7 @@ def tau_alternating(X):
     """
     d = X.dim
     value, lams = _alternating_product(
-        X, "alternating product", lambda i: pseudodet(laplacian(X, i - 1, "ud"))
+        X, "alternating product", lambda i: _level_pseudodet(X, i)
     )
     return TauReport(
         method="alternating",
@@ -331,7 +362,7 @@ def tau_cobase_spectral(X, cap=None):
     """
     d = X.dim
     _require(d >= 1, "cobase spectral formula needs dimension at least 1")
-    lam = pseudodet(laplacian(X, d - 1, "ud"))
+    lam = _level_pseudodet(X, d)
     h = cobase_defect_enumerator(X, d - 1, cap=cap)
     t_x = torsion(X, d - 2)
     value = _canon(Fraction(t_x * t_x) * lam / h)
@@ -346,12 +377,12 @@ def tau_cobase_spectral(X, cap=None):
 
 def _weighted_level_factor(X, weights):
     """Level k of the algebraic weighting: the pseudodeterminant of the
-    weighted Laplacian on the (k-1)-cells times their weight monomial (the
-    empty face's weight is 1)."""
+    weighted Laplacian on the (k-1)-cells, taken on the smaller side, times
+    the (k-1)-cells' weight monomial (the empty face's weight is 1)."""
 
     def level_factor(k):
         mono = prod(weights.cell_weights(X, k - 1))
-        return pseudodet(weighted_laplacian_similar(X, k, weights)) * mono
+        return _level_pseudodet(X, k, weights, similar=True) * mono
 
     return level_factor
 
@@ -389,13 +420,17 @@ def rooted_forest_polynomial(X):
     """Generating polynomial of rooted forests: det(L + z I) on the codim-1 space.
 
     The coefficient of z^j is the sum of squared relative torsions over rooted
-    spanning forests whose root keeps j codim-1 cells.
+    spanning forests whose root keeps j codim-1 cells.  With B = d_d of shape
+    n x m, n > m, it is taken on the top cells by Sylvester's identity
+    det(zI_n + B B^T) = z^(n-m) det(zI_m + B^T B).
     """
     d = X.dim
     if d < 1:
         raise ValueError("rooted forest polynomial needs dimension at least 1")
-    L = laplacian(X, d - 1, "ud")
-    return char_poly(-L)
+    n, m = X.n_cells(d - 1), X.n_cells(d)
+    if m >= n:
+        return char_poly(-laplacian(X, d - 1, "ud"))
+    return CharPoly((0,) * (n - m) + char_poly(-laplacian(X, d, "du")).coeffs)
 
 
 def graph_components(X):

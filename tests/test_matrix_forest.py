@@ -6,12 +6,21 @@ from math import comb
 import pytest
 
 from cellforest import linalg, matrix_forest
-from cellforest.complexes import WeightAssignment, dual_complex, from_facets, skeleton
+from cellforest.complexes import (
+    WeightAssignment,
+    dual_complex,
+    from_facets,
+    laplacian,
+    skeleton,
+    weighted_laplacian,
+    weighted_laplacian_similar,
+)
 from cellforest.families import complete_colorful, hypercube_complex, simplex_skeleton
 from cellforest.homology import homology, relative_homology_torsion
-from cellforest.linalg import Matrix, invariant_factors, rank
+from cellforest.linalg import Matrix, char_poly, invariant_factors, pseudodet, rank
 from cellforest.matrix_forest import (
     HypothesisError,
+    _level_pseudodet,
     METHODS,
     UNWEIGHTED_ONLY,
     WEIGHT_REQUIRED,
@@ -37,7 +46,7 @@ from cellforest.oracle import (
     tau_weighted_bruteforce,
 )
 
-from corpus import CORPUS, SEED, TORSION_BELOW, random_weights
+from corpus import CORPUS, SEED, TORSION_BELOW, random_pure_2_complexes, random_weights
 from frozen import tau_algebraic_weighted_by_recursion, tau_pseudodet_by_recursion
 
 # two disjoint solid tetrahedra: beta_2 = beta_1 = 0 but beta_0 = 1
@@ -171,7 +180,7 @@ class TestPseudodet:
             assert str(exc.value) == f"beta_0(X) != 0: {formula} needs vanishing codim-2 homology"
         assert shapes == []
         assert tau_pseudodet(simplex_skeleton(5, 3).to_chain_complex()).value == 5
-        assert shapes == [(10, 10), (10, 10), (5, 5), (1, 1)]
+        assert shapes == [(5, 5), (10, 10), (5, 5), (1, 1)]
 
 
 class TestAlternating:
@@ -188,6 +197,52 @@ class TestAlternating:
     def test_refuses_annulus(self, annulus):
         with pytest.raises(HypothesisError):
             tau_alternating(annulus)
+
+
+class TestSmallerSide:
+    """Each level's pseudodeterminant from the smaller side of its Laplacian,
+    against the one on the (k-1)-cells that every level took before."""
+
+    # Q_4's 3-skeleton takes the k-cells below the top too, at level 2
+    CASES = CORPUS + random_pure_2_complexes(random.Random(SEED + 26), 6) + [skeleton(hypercube_complex(4), 3)]
+
+    def test_every_level_matches_the_side_on_the_lower_cells(self):
+        other_side = Counter()
+        for n, X in enumerate(self.CASES):
+            w = random_weights(random.Random(SEED + n), X)
+            for k in range(X.dim + 1):
+                assert _level_pseudodet(X, k) == pseudodet(laplacian(X, k - 1, "ud")), (n, k)
+                got = _level_pseudodet(X, k, w, similar=True)
+                assert got == pseudodet(weighted_laplacian_similar(X, k, w)), (n, k)
+                assert _level_pseudodet(X, k, w) == pseudodet(weighted_laplacian(X, k, w)), (n, k)
+                if X.n_cells(k) < X.n_cells(k - 1):
+                    other_side["top" if k == X.dim else "below"] += 1
+        # both kinds of level take the k-cells somewhere
+        assert other_side == {"top": 22, "below": 2}
+
+    def test_rooted_polynomial_matches_the_codim_1_side(self):
+        sylvester = 0
+        for n, X in enumerate(self.CASES):
+            if X.dim >= 1:
+                want = char_poly(-laplacian(X, X.dim - 1, "ud"))
+                assert rooted_forest_polynomial(X) == want, n
+                sylvester += X.n_cells(X.dim) < X.n_cells(X.dim - 1)
+        assert sylvester >= 5
+
+    @pytest.mark.parametrize("X", [skeleton(hypercube_complex(4), 3), complete_colorful(2, 2, 2, 2).to_chain_complex()],
+                             ids=["Q4_3", "colorful_2222"])
+    def test_the_order_taken_is_the_smaller_one(self, X, monkeypatch):
+        shapes = []
+        real = matrix_forest.pseudodet
+        monkeypatch.setattr(matrix_forest, "pseudodet", lambda M: shapes.append(M.shape) or real(M))
+        w = random_weights(random.Random(SEED), X)
+        for k in range(X.dim + 1):
+            m = min(X.n_cells(k - 1), X.n_cells(k))
+            for args in ((), (w,), (w, True)):
+                _level_pseudodet(X, k, *args)
+                assert shapes.pop() == (m, m), (k, args)
+        # the top level of both is smaller on the 3-cells
+        assert X.n_cells(3) < X.n_cells(2)
 
 
 class TestCovolume:
@@ -393,13 +448,22 @@ class TestCrossMethodAgreement:
 
     def test_tau_reduced_ranks_each_boundary_once(self, monkeypatch):
         # rank searches go through linalg.greedy_column_basis; without the
-        # memo one call on K_12^3 searched d_2 four times and d_3 twice
+        # memo one call on K_12^3 searched d_2 four times and d_3 twice.  Every
+        # search runs _greedy_path, and default_root searched d_2 again until
+        # the basis itself was memoized
         X = simplex_skeleton(12, 3).to_chain_complex()
-        searched = Counter()
-        basis = linalg.greedy_column_basis
+        searched, paths = Counter(), Counter()
+        basis, path = linalg.greedy_column_basis, linalg._greedy_path
+
+        def key(cols):
+            return tuple(tuple(c.items()) for c in cols)
+
         monkeypatch.setattr(linalg, "greedy_column_basis", lambda M: searched.update([id(M)]) or basis(M))
+        monkeypatch.setattr(linalg, "_greedy_path", lambda cols: paths.update([key(cols)]) or path(cols))
         tau_reduced(X)
         assert max(searched[id(b)] for b in X.boundaries) == 1
+        assert [paths[key(linalg._sparse_columns(b))] for b in X.boundaries] == [0, 1, 1, 1]
+        assert max(paths.values()) == 1
 
     def test_correction_factors_trivial_when_z_apc(self, bipyramid, k4):
         for X in (bipyramid, k4):
