@@ -42,8 +42,6 @@ from cellforest.linalg import (
 from cellforest.matrix_forest import (
     TauReport,
     _require,
-    _top_laplacian,
-    _weighted_level_factor,
     format_exact,
 )
 from cellforest.oracle import (
@@ -1086,6 +1084,24 @@ def tau_weighted_alternating_by_own_loop(X, weights):
 # ---------------------------------------------------------------------------
 # the eigenvalue-product recursion, one level per call
 # ---------------------------------------------------------------------------
+
+
+def _top_laplacian(X, weights):
+    if weights is None:
+        return laplacian(X, X.dim - 1, "ud")
+    return weighted_laplacian(X, X.dim, weights)
+
+
+def _weighted_level_factor(X, weights):
+    """Level k of the algebraic weighting: the pseudodeterminant of the
+    weighted Laplacian on the (k-1)-cells times their weight monomial (the
+    empty face's weight is 1)."""
+
+    def level_factor(k):
+        mono = math.prod(weights.cell_weights(X, k - 1))
+        return pseudodet(weighted_laplacian_similar(X, k, weights)) * mono
+
+    return level_factor
 
 
 def _codim2_homology(X, k):
