@@ -108,7 +108,7 @@ def laplacian(X, k, kind="ud"):
     ``ud`` is d_{k+1} d_{k+1}^T (defined for -1 <= k < dim; k = -1 gives the
     1x1 augmentation Laplacian), ``du`` is d_k^T d_k (0 <= k <= dim), and
     ``tot`` is their sum (0 <= k < dim).  ``ud`` and ``du`` are the unit-weight
-    Grams (``_gram``) of d_{k+1} and of d_k^T, with ``int`` entries.
+    ``_gram`` of d_{k+1} and of d_k^T, so their entries are ``int``.
     """
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"unknown Laplacian kind {kind!r}")
@@ -125,8 +125,7 @@ def laplacian(X, k, kind="ud"):
         if not 0 <= k <= d - 1:
             raise ValueError(f"total Laplacian undefined at k={k} for a {d}-complex")
         return laplacian(X, k, "ud") + laplacian(X, k, "du")
-    G, _ = _gram(b)
-    return Matrix._from_rows(G, len(G), True)
+    return _gram(b)
 
 
 def _exact_int(x, what):
@@ -220,14 +219,15 @@ def _integer_weights(weights):
     return [x.numerator * (q // x.denominator) for x in weights], q
 
 
-def _gram(b, weights=None):
-    """(G, q): the integer matrix G with b D b^T = G / q, D the diagonal of the
-    column weights (all 1 if ``weights`` is None), q their denominators' lcm.
-    G is given by the nonzeros of its rows, {column: value} in ascending order.
+def _gram(b, weights=None, scale=None):
+    """diag(scale) b D b^T as a ``Matrix``, D the diagonal of the column
+    weights (all 1 if ``weights`` is None) and row i times ``scale[i]`` (all 1
+    if None).  With no scale and q = 1, q the lcm of the weights'
+    denominators, its entries are ``int``; otherwise exact rationals.
 
-    Column c of the integer matrix b adds q w_c b_ic b_jc to G[i][j] for each
-    pair (i, j) of its nonzero entries, so no rational arithmetic and no dense
-    product is done.
+    Column c of the integer matrix b adds q w_c b_ic b_jc to an integer G[i][j]
+    for each pair (i, j) of its nonzero entries, so no rational arithmetic and
+    no dense product is done until the entries G / q are scaled.
     """
     ws, q = _integer_weights((1,) * b.ncols if weights is None else weights)
     G = [{} for _ in range(b.nrows)]
@@ -236,19 +236,15 @@ def _gram(b, weights=None):
             Gi, vw = G[i], vi * wq
             for j, vj in col.items():
                 Gi[j] = Gi.get(j, 0) + vw * vj
-    return [{j: Gi[j] for j in sorted(Gi) if Gi[j]} for Gi in G], q
-
-
-def _weighted_gram(b, weights, scale=None):
-    """diag(scale) b D b^T as an exact rational ``Matrix``: the ``_gram`` of b
-    with column weights D, its row i times ``scale[i]`` (all 1 if None)."""
-    G, q = _gram(b, weights)
-    scale = (1,) * len(G) if scale is None else scale
+    G = [{j: Gi[j] for j in sorted(Gi) if Gi[j]} for Gi in G]
+    if scale is None and q == 1:
+        return Matrix._from_rows(G, b.nrows, True)
+    scale = (1,) * b.nrows if scale is None else scale
     rows = [
         {j: Fraction(v * s.numerator, q * s.denominator) for j, v in row.items()}
         for s, row in zip(scale, G)
     ]
-    return Matrix._from_rows(rows, len(G))
+    return Matrix._from_rows(rows, b.nrows)
 
 
 def weighted_laplacian(X, k, w):
@@ -256,7 +252,7 @@ def weighted_laplacian(X, k, w):
 
     With all weights 1 this is ``laplacian(X, k-1, "ud")``.
     """
-    return _weighted_gram(boundary_matrix(X, k), w.cell_weights(X, k))
+    return _gram(boundary_matrix(X, k), w.cell_weights(X, k))
 
 
 def weighted_laplacian_similar(X, k, w):
@@ -269,7 +265,7 @@ def weighted_laplacian_similar(X, k, w):
     """
     # row i is divided by the weight of the i-th (k-1)-cell (the empty face's is 1)
     inverse = [1 / x for x in w.cell_weights(X, k - 1)]
-    return _weighted_gram(boundary_matrix(X, k), w.cell_weights(X, k), inverse)
+    return _gram(boundary_matrix(X, k), w.cell_weights(X, k), inverse)
 
 
 def split_cells(X, k, cells):

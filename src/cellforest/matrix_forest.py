@@ -21,11 +21,12 @@ optionally weighted by a product of top-cell weights.  The routes:
                           for the algebraically weighted Laplacian, where lower
                           dimensional weights enter.
 
-The spectral routes take level k's pseudodeterminant on the fewer of the
-(k-1)-cells and the k-cells (the (k-1)-cells on a tie): its Laplacian is a
-product AB, and BA has the same nonzero eigenvalues with multiplicity (Horn
-and Johnson, *Matrix Analysis*, 2nd ed., Thm 1.3.22).
-``rooted_forest_polynomial`` uses Sylvester's identity likewise.  The values
+The spectral routes and ``rooted_forest_polynomial`` take level k's
+Laplacian from ``_level_gram``, on the fewer of the (k-1)-cells and the
+k-cells (the (k-1)-cells on a tie): it is a product AB, and BA has the same
+nonzero eigenvalues with multiplicity (Horn and Johnson, *Matrix Analysis*,
+2nd ed., Thm 1.3.22), so det(zI_n + AB) = z^(n-m) det(zI_m + BA) for n >= m
+(Sylvester's identity).  Each side is one ``complexes._gram``.  The values
 still come from ``char_poly``, so these routes stay independent of the
 determinant routes.
 
@@ -55,14 +56,13 @@ from .linalg import (
     torsion_order,
 )
 from .complexes import (
-    _weighted_gram,
+    _gram,
     boundary_matrix,
     laplacian,
     skeleton,
     split_cells,
     vertex_components,
     weighted_laplacian,
-    weighted_laplacian_similar,
 )
 from .homology import betti, forest_torsion, homology, is_maximal_spanning_forest, torsion
 from .oracle import cobase_defect_enumerator, cobase_kernel_defect, default_cobase
@@ -136,25 +136,27 @@ def _top_laplacian(X, weights):
     return weighted_laplacian(X, X.dim, weights)
 
 
-def _level_pseudodet(X, k, weights=None, similar=False):
-    """The pseudodeterminant of level k's Laplacian on the smaller side.
-
-    On the (k-1)-cells that is ``laplacian(X, k-1, "ud")``,
-    ``weighted_laplacian(X, k, weights)`` or, with ``similar``,
-    ``weighted_laplacian_similar(X, k, weights)``; on the k-cells it is
-    d_k^T d_k, D_k d_k^T d_k or D_k d_k^T D_{k-1}^-1 d_k.
+def _level_gram(X, k, weights=None, similar=False):
+    """Level k's Laplacian on the fewer of the (k-1)-cells and the k-cells
+    (the (k-1)-cells on a tie), as one ``_gram`` of d = d_k with W = D_k, the
+    k-cells' weights (1 without ``weights``), and S = D_{k-1}^-1 with
+    ``similar`` (else 1): S d W d^T on the (k-1)-cells, the same Gram of d^T
+    with W and S swapped, W d^T S d, on the k-cells.
     """
-    if X.n_cells(k) >= X.n_cells(k - 1):
-        if weights is None:
-            return pseudodet(laplacian(X, k - 1, "ud"))
+    d = boundary_matrix(X, k)
+    w = s = None
+    if weights is not None:
+        w = weights.cell_weights(X, k)
         if similar:
-            return pseudodet(weighted_laplacian_similar(X, k, weights))
-        return pseudodet(weighted_laplacian(X, k, weights))
-    if weights is None:
-        return pseudodet(laplacian(X, k, "du"))
-    inverse = [1 / x for x in weights.cell_weights(X, k - 1)] if similar else None
-    d_t = boundary_matrix(X, k).transpose()
-    return pseudodet(_weighted_gram(d_t, inverse, weights.cell_weights(X, k)))
+            s = [1 / x for x in weights.cell_weights(X, k - 1)]
+    if X.n_cells(k) < X.n_cells(k - 1):
+        return _gram(d.transpose(), s, w)
+    return _gram(d, w, s)
+
+
+def _level_pseudodet(X, k, weights=None, similar=False):
+    """The pseudodeterminant of level k's Laplacian, taken on its smaller side."""
+    return pseudodet(_level_gram(X, k, weights, similar))
 
 
 def tau_reduced(X, root=None, weights=None):
@@ -420,17 +422,15 @@ def rooted_forest_polynomial(X):
     """Generating polynomial of rooted forests: det(L + z I) on the codim-1 space.
 
     The coefficient of z^j is the sum of squared relative torsions over rooted
-    spanning forests whose root keeps j codim-1 cells.  With B = d_d of shape
-    n x m, n > m, it is taken on the top cells by Sylvester's identity
-    det(zI_n + B B^T) = z^(n-m) det(zI_m + B^T B).
+    spanning forests whose root keeps j codim-1 cells.  It is taken on the
+    smaller side of the top level (``_level_gram``) and padded by Sylvester's
+    identity det(zI_n + B B^T) = z^(n-m) det(zI_m + B^T B), B = d_d.
     """
     d = X.dim
     if d < 1:
         raise ValueError("rooted forest polynomial needs dimension at least 1")
-    n, m = X.n_cells(d - 1), X.n_cells(d)
-    if m >= n:
-        return char_poly(-laplacian(X, d - 1, "ud"))
-    return CharPoly((0,) * (n - m) + char_poly(-laplacian(X, d, "du")).coeffs)
+    G = _level_gram(X, d)
+    return CharPoly((0,) * (X.n_cells(d - 1) - G.nrows) + char_poly(-G).coeffs)
 
 
 def graph_components(X):

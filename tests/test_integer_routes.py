@@ -14,6 +14,8 @@ from cellforest.complexes import (
     face_label,
     laplacian,
     skeleton,
+    weighted_laplacian,
+    weighted_laplacian_similar,
 )
 from cellforest.critical import fundamental_vectors
 from cellforest.families import (
@@ -24,8 +26,8 @@ from cellforest.families import (
     simplex_skeleton,
 )
 from cellforest.homology import forest_torsion
-from cellforest.linalg import greedy_row_basis
-from cellforest.matrix_forest import tau_covolume
+from cellforest.linalg import Matrix, greedy_row_basis
+from cellforest.matrix_forest import _level_gram, tau_covolume
 from cellforest.oracle import (
     CapExceeded,
     _defect_context,
@@ -47,6 +49,7 @@ from frozen import (
     circuits_by_solve,
     defect_context_by_quotient,
     dense_laplacian,
+    dense_product,
     kernel_defect_by_quotient,
     tau_covolume_by_solve,
 )
@@ -98,8 +101,24 @@ def entry_types(M):
     return [type(x) for row in M.data for x in row]
 
 
+def dense_level_grams(X, k, W, S):
+    """(S d W d^T, W d^T S d) for d = d_k and diagonal factors W, S, each a
+    dense product."""
+    d = boundary_matrix(X, k)
+    dt = d.transpose()
+    return dense_product(dense_product(S, d), dense_product(W, dt)), dense_product(
+        dense_product(W, dt), dense_product(S, d)
+    )
+
+
 def test_laplacians_match_dense_products():
-    checked = 0
+    def check(got, want, types=None):
+        assert got == want
+        assert entry_types(got) == entry_types(want) and got.is_integral == want.is_integral
+        assert types is None or set(entry_types(got)) <= types
+
+    rng = random.Random(SEED)
+    checked, sides = 0, set()
     for X in CORPUS:
         for kind, ks in (
             ("ud", range(-1, X.dim)),
@@ -107,11 +126,26 @@ def test_laplacians_match_dense_products():
             ("tot", range(0, X.dim)),
         ):
             for k in ks:
-                got, want = laplacian(X, k, kind), dense_laplacian(X, k, kind)
-                assert got == want
-                assert entry_types(got) == entry_types(want) and set(entry_types(got)) <= {int}
+                check(laplacian(X, k, kind), dense_laplacian(X, k, kind), {int})
                 checked += 1
-    assert checked > 100
+        w = random_weights(rng, X)
+        for k in range(X.dim + 1):
+            W = Matrix.diagonal(w.cell_weights(X, k))
+            S = Matrix.diagonal([1 / x for x in w.cell_weights(X, k - 1)])
+            one_k, one_below = Matrix.identity(X.n_cells(k)), Matrix.identity(X.n_cells(k - 1))
+            check(weighted_laplacian(X, k, w), dense_level_grams(X, k, W, one_below)[0])
+            check(weighted_laplacian_similar(X, k, w), dense_level_grams(X, k, W, S)[0])
+            # the k-cells' side when they are fewer, else the (k-1)-cells'
+            side = X.n_cells(k) < X.n_cells(k - 1)
+            sides.add(side)
+            for weights, similar, factors, types in (
+                (None, False, (one_k, one_below), {int}),
+                (w, False, (W, one_below), None),
+                (w, True, (W, S), None),
+            ):
+                check(_level_gram(X, k, weights, similar), dense_level_grams(X, k, *factors)[side], types)
+            checked += 5
+    assert checked > 300 and sides == {False, True}
 
 
 def test_covolume_matches_solve_unweighted_and_weighted():
