@@ -12,11 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
-from math import prod
 
 from . import io as cfio
-from .complexes import _integer_weights, require_boundary_composition, skeleton
+from .complexes import require_boundary_composition, skeleton
 from .critical import critical_group, critical_group_reduced, sequence_order_check
 from .families import (
     complete_colorful,
@@ -36,7 +34,7 @@ from .matrix_forest import (
     rooted_forest_polynomial,
     tau,
 )
-from .oracle import DEFAULT_CAP, CapExceeded, forest_search
+from .oracle import DEFAULT_CAP, CapExceeded, _forest_sum, forest_search
 from .verify import DEFAULT_SEED, SUITES, render_records, run_suite
 
 EXIT_OK = 0
@@ -108,6 +106,14 @@ def cmd_gen(args):
     return EXIT_OK
 
 
+def _written(forests, fh, labels):
+    """The ``forest_search`` stream ``forests``, each forest's census line
+    written to ``fh`` as it passes."""
+    for facets, t in forests:
+        fh.write(cfio.census_line(labels, facets, t))
+        yield facets, t
+
+
 def cmd_tau(args):
     if args.census and args.method != "bruteforce":
         raise ValueError("--census needs --method bruteforce")
@@ -115,16 +121,11 @@ def cmd_tau(args):
     k = X.dim if args.k is None else args.k
     weights = _load(args.weights, cfio.parse_weights) if args.weights else None
     if args.method == "bruteforce":
-        # the cap and every weight are checked before the census file opens;
-        # the weights are scaled to integers by q, and the sum divided by q^r
-        forests, labels, value = forest_search(X, k, cap=args.cap), X.labels(k), 0
-        ws, q = _integer_weights(weights.cell_weights(X, k)) if weights else (None, 1)
+        # the cap and every weight are checked before the census file opens
+        forests, labels = forest_search(X, k, cap=args.cap), X.labels(k)
+        ws = weights.cell_weights(X, k) if weights else None
         with open(args.census, "w") if args.census else nullcontext() as fh:
-            for count, (facets, t) in enumerate(forests, 1):
-                value += t * t * (prod(ws[i] for i in facets) if ws else 1)
-                if fh:
-                    fh.write(cfio.census_line(labels, facets, t))
-        value = Fraction(value, q ** len(facets))
+            value, count = _forest_sum(_written(forests, fh, labels) if fh else forests, ws)
         body = TauReport("bruteforce", k, value).render() + f"\nforests: {count}\n"
     else:
         report = tau(X, k, args.method, weights=weights, cap=args.cap)
@@ -139,8 +140,8 @@ def cmd_homology(args):
     ks = [args.k] if args.k is not None else list(range(X.dim + 1))
     lines = [f"dim {X.dim}"]
     for k in ks:
-        h = homology(X, k)
         require_boundary_composition(X, k)
+        h = homology(X, k)
         factors = ",".join(str(f) for f in h.torsion_factors) or "-"
         lines.append(f"k={k} betti={h.betti} torsion={h.torsion_order} factors={factors}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -196,20 +196,30 @@ def first_torsion_free_forest(X, k):
     return None
 
 
+def _forest_sum(forests, weights=None):
+    """(value, count) of a ``forest_search`` stream: the sum of t^2 over its
+    forests, each times the product of the ``weights`` of its k-cells if given,
+    and the number of forests.  The sum runs over the weights scaled to
+    integers by q and is divided by q^r once, r the size of every forest, so
+    the value is a ``Fraction`` with weights and an ``int`` without."""
+    ws, q = _integer_weights(weights) if weights is not None else (None, 1)
+    total = count = 0
+    facets = ()
+    for count, (facets, t) in enumerate(forests, 1):
+        total += t * t if ws is None else t * t * prod(ws[i] for i in facets)
+    return (total if ws is None else Fraction(total, q ** len(facets))), count
+
+
 def tau_bruteforce(X, k=None, cap=None):
     """Torsion-weighted forest count: sum of squared codim-1 torsion orders."""
-    return sum(t * t for _, t in forest_search(X, k, cap))
+    return _forest_sum(forest_search(X, k, cap))[0]
 
 
 def tau_weighted_bruteforce(X, k, w, cap=None):
     """Forest enumerator with weights multiplied over the k-cells of each
-    forest; every k-cell needs a weight (``ValueError`` otherwise).  The sum
-    runs over the weights scaled to integers by q and is divided by q^r once,
-    r the size of every forest."""
-    forests = forest_search(X, k, cap)
-    ws, q = _integer_weights(w.cell_weights(X, k))
-    total = sum(t * t * prod(ws[i] for i in facets) for facets, t in forests)
-    return Fraction(total, q ** rank(boundary_matrix(X, k)))
+    forest (``_forest_sum``); every k-cell needs a weight (``ValueError``
+    otherwise), checked after the cap."""
+    return _forest_sum(forest_search(X, k, cap), w.cell_weights(X, k))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +403,7 @@ def cobase_defect_enumerator(X, k, cap=None):
     boundary_matrix(X, k + 1)  # at k = dim there is no d_{k+1}, a refusal
     ker, sat = _defect_context(X, k)
     if sat is None:
-        return sum(t * t for _, t in forest_search(X, k, cap, "cobase enumeration"))
+        return _forest_sum(forest_search(X, k, cap, "cobase enumeration"))[0]
     bk = boundary_matrix(X, k)
     total = 0
     for cobase in enumerate_cobases(X, k, cap):

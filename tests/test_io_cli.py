@@ -185,13 +185,18 @@ class TestCli:
         assert row(None) == ("4", "4")
         assert row(1000) == ("skipped", "cap exceeded")
 
-    def test_homology_checks_the_augmentation_composition(self, tmp_path, capsys):
+    def test_homology_checks_the_augmentation_composition(self, tmp_path, capsys, monkeypatch):
+        from cellforest import cli
         from cellforest.complexes import dual_complex
 
+        levels, homology = [], cli.homology
+        monkeypatch.setattr(cli, "homology", lambda X, k: levels.append(k) or homology(X, k))
         # the formal dual's vertex layer has no augmentation, and d_0 d_1 != 0 there
         path = tmp_path / "dual.txt"
         path.write_text(cfio.serialize_complex(dual_complex(named_complex("bipyramid"))))
         assert main(["homology", str(path)]) == 2
+        # level 0 is refused before its rank and Smith form are taken
+        assert levels == []
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
