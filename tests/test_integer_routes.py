@@ -133,17 +133,16 @@ def test_laplacians_match_dense_products():
             W = Matrix.diagonal(w.cell_weights(X, k))
             S = Matrix.diagonal([1 / x for x in w.cell_weights(X, k - 1)])
             one_k, one_below = Matrix.identity(X.n_cells(k)), Matrix.identity(X.n_cells(k - 1))
-            check(weighted_laplacian(X, k, w), dense_level_grams(X, k, W, one_below)[0])
-            check(weighted_laplacian_similar(X, k, w), dense_level_grams(X, k, W, S)[0])
+            plain, weighted, similar = (
+                dense_level_grams(X, k, *factors) for factors in ((one_k, one_below), (W, one_below), (W, S))
+            )
+            check(weighted_laplacian(X, k, w), weighted[0])
+            check(weighted_laplacian_similar(X, k, w), similar[0])
             # the k-cells' side when they are fewer, else the (k-1)-cells'
             side = X.n_cells(k) < X.n_cells(k - 1)
             sides.add(side)
-            for weights, similar, factors, types in (
-                (None, False, (one_k, one_below), {int}),
-                (w, False, (W, one_below), None),
-                (w, True, (W, S), None),
-            ):
-                check(_level_gram(X, k, weights, similar), dense_level_grams(X, k, *factors)[side], types)
+            for args, want, types in (((), plain, {int}), ((w,), weighted, None), ((w, True), similar, None)):
+                check(_level_gram(X, k, *args), want[side], types)
             checked += 5
     assert checked > 300 and sides == {False, True}
 
