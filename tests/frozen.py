@@ -466,6 +466,29 @@ def tau_covolume_by_solve(X, weights=None):
     )
 
 
+def tau_covolume_by_gram(X, weights=None):
+    """``matrix_forest.tau_covolume`` with det(L|_B) = det(B^T L B) / covol(B)^2,
+    from B^T L B = (B^T B) A for the matrix A of L|_B."""
+    d = X.dim
+    _require(d >= 1, "covolume formula needs dimension at least 1")
+    b = boundary_matrix(X, d)
+    basis = column_lattice_basis(b)
+    if basis.ncols == 0:
+        return TauReport(method="covolume", k=d, value=1, details=(("rank", "0"),))
+    L = _top_laplacian(X, weights)
+    covol2 = covolume_squared(basis)
+    det_action = _exactify(Fraction(det(basis.transpose() * L * basis)) / covol2)
+    t_x = torsion(X, d - 1)
+    value = _exactify(Fraction(t_x * t_x) * det_action / covol2)
+    return TauReport(
+        method="covolume",
+        k=d,
+        value=value,
+        corrections=((f"t{d-1}(X)", t_x), ("covol^2", covol2)),
+        details=(("det_restricted", format_exact(det_action)),),
+    )
+
+
 def defect_context_by_quotient(X, k):
     """``oracle._defect_context`` when the defect was a lattice quotient order."""
     bk = boundary_matrix(X, k)
