@@ -759,7 +759,10 @@ def _row_hermite(rows, ncols):
 def column_lattice_basis(A):
     """Integer basis (as matrix columns) of the lattice spanned by A's columns.
 
-    Column-style Hermite normal form with zero columns dropped.
+    Column-style Hermite normal form with zero columns dropped: column j has
+    its first nonzero, a positive pivot, at row p_j, with p_0 < p_1 < ...,
+    so the basis on its pivot rows is lower triangular, and each entry left
+    of a pivot in its row lies in [0, pivot).
     """
     if not A.is_integral:
         raise ValueError("lattice basis requires an integer matrix")

@@ -306,8 +306,11 @@ def tau_covolume(X, weights=None):
     image lattice of the *top* boundary (the codim-1 Laplacian maps it to
     itself; restricting to the image of the codim-1 boundary instead fails the
     cross-checks).  A rank-zero boundary returns 1 by the empty-product
-    convention.  No solve is needed: L B = B A for the matrix A of L|_B, so
-    B^T L B = (B^T B) A and det(L|_B) = det(B^T L B) / covol(B)^2.
+    convention.  No solve is needed: column j of the Hermite basis B has its
+    first nonzero, a positive pivot, at row p_j with p ascending, so B[P,:] is
+    lower triangular (Cohen, GTM 138, Sec. 2.4).  L B = B A for the matrix A
+    of L|_B gives (L B)[P,:] = B[P,:] A, so
+    det(L|_B) = det(L[P,:] B) / prod_j B[p_j, j].
     """
     d = X.dim
     _require(d >= 1, "covolume formula needs dimension at least 1")
@@ -317,7 +320,10 @@ def tau_covolume(X, weights=None):
         return TauReport(method="covolume", k=d, value=1, details=(("rank", "0"),))
     L = _top_laplacian(X, weights)
     covol2 = covolume_squared(basis)
-    det_action = _canon(Fraction(det(basis.transpose() * L * basis)) / covol2)
+    cols = _sparse_columns(basis)
+    pivots = [min(col) for col in cols]
+    pivot_product = prod(col[p] for col, p in zip(cols, pivots))
+    det_action = _canon(Fraction(det(L.submatrix(pivots, range(L.ncols)) * basis)) / pivot_product)
     t_x = torsion(X, d - 1)
     value = _canon(Fraction(t_x * t_x) * det_action / covol2)
     return TauReport(
