@@ -52,7 +52,7 @@ GOLDENS = (
             for gen in ("hypercube-skeleton 4 3", "hypercube-skeleton 5 3", "colorful 2 2 2 2")
             for method in ("pseudodet", "alternating")]
            + [(gen, "rooted-poly {complex}") for gen in ("hypercube 3", "hypercube 4", "simplex-skeleton 5 3")]),
-    # det_restricted and covol^2 where the restricted determinant is the covolume route's largest cost
+    # det_restricted and covol^2 on Hermite bases up to 108 x 65; tau_reports.txt pins only small complexes
     Golden("tau_covolume_sizes.txt",
            [(gen, "tau {complex} --method covolume")
             for gen in ("colorful 3 3 3 3", "colorful 5 5 5", "hypercube-skeleton 5 3", "simplex-skeleton 10 3",
