@@ -17,12 +17,12 @@ from cellforest.complexes import (
     weighted_laplacian,
     weighted_laplacian_similar,
 )
+from cellforest.critical import AbelianGroupStructure
 from cellforest.homology import betti, homology, torsion
 from cellforest.linalg import (
     CharPoly,
     Matrix,
     column_lattice_basis,
-    covolume_squared,
     det,
     invariant_factors,
     kernel_lattice_basis,
@@ -443,6 +443,21 @@ def dense_laplacian(X, k, kind="ud"):
     return dense_laplacian(X, k, "ud") + dense_laplacian(X, k, "du")
 
 
+def covolume_squared_by_gram(A):
+    """``linalg.covolume_squared``: the Gram determinant det(A^T A) of an
+    independent-column matrix."""
+    g = det(A.transpose() * A)
+    if g == 0:
+        raise ValueError("columns are linearly dependent")
+    return g
+
+
+def discriminant_group_by_gram(basis):
+    """``critical.discriminant_group``: the torsion of the cokernel of the
+    Gram matrix basis^T basis."""
+    return AbelianGroupStructure(tuple(f for f in invariant_factors(basis.transpose() * basis) if f > 1))
+
+
 def tau_covolume_by_solve(X, weights=None):
     """``matrix_forest.tau_covolume`` with det(L|_B) from solving B A = L B."""
     d = X.dim
@@ -454,7 +469,7 @@ def tau_covolume_by_solve(X, weights=None):
     L = dense_laplacian(X, d - 1, "ud") if weights is None else weighted_laplacian(X, d, weights)
     action = solve_by_gauss_jordan(basis, L * basis)
     det_action = det(action)
-    covol2 = covolume_squared(basis)
+    covol2 = covolume_squared_by_gram(basis)
     t_x = torsion(X, d - 1)
     value = _exactify(Fraction(t_x * t_x) * det_action / covol2)
     return TauReport(
@@ -476,7 +491,7 @@ def tau_covolume_by_gram(X, weights=None):
     if basis.ncols == 0:
         return TauReport(method="covolume", k=d, value=1, details=(("rank", "0"),))
     L = _top_laplacian(X, weights)
-    covol2 = covolume_squared(basis)
+    covol2 = covolume_squared_by_gram(basis)
     det_action = _exactify(Fraction(det(basis.transpose() * L * basis)) / covol2)
     t_x = torsion(X, d - 1)
     value = _exactify(Fraction(t_x * t_x) * det_action / covol2)
