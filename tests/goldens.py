@@ -57,6 +57,9 @@ GOLDENS = (
            [(gen, "tau {complex} --method covolume")
             for gen in ("colorful 3 3 3 3", "colorful 5 5 5", "hypercube-skeleton 5 3", "simplex-skeleton 10 3",
                         "named moebius")]),
+    # critical groups and cut/flow discriminant groups at the elimination workload's sizes
+    Golden("critical_sizes.txt",
+           [(gen, "critical {complex}") for gen in ("colorful 3 3 3 3", "hypercube-skeleton 5 3")]),
 )
 
 
