@@ -15,6 +15,7 @@ from math import gcd, lcm, prod
 
 from .linalg import (
     Matrix,
+    _lattice_gram,
     column_lattice_basis,
     det,
     invariant_factors,
@@ -81,9 +82,15 @@ def flow_lattice(X, k):
 
 def discriminant_group(basis):
     """Structure of (dual lattice)/(lattice) for the lattice spanned by the
-    columns of ``basis``: the cokernel of its Gram matrix (0 x 0, so trivial,
-    for the zero lattice)."""
-    return _torsion_structure(basis.transpose() * basis)
+    columns of ``basis``: the torsion of the cokernel of its Gram matrix
+    (0 x 0, so trivial, for the zero lattice).
+
+    The Gram matrix is ``linalg._lattice_gram``'s: I + X X^T on the n - r
+    rows X off the pivot rows when those form an identity block and
+    n - r < r, B^T B otherwise.  Both have the same invariant factors, since
+    [[I_r, X^T], [-X, I_{n-r}]] reduces by unimodular row and column
+    operations to diag(I, I_r + X^T X) and to diag(I_{n-r} + X X^T, I)."""
+    return _torsion_structure(_lattice_gram(basis))
 
 
 def _primitive(vec, positive_at):

@@ -26,6 +26,13 @@ Hermite passes until the matrix is diagonal (Kannan-Bachem, SIAM J. Comput.
 An integer kernel is one Hermite pass of [M^T | I], and exact solves read
 their solutions off kernels: no rational Gauss-Jordan loop remains.
 
+A lattice Gram matrix is formed in one place, ``_lattice_gram``.  A Hermite
+basis B (n x r) whose pivots are all 1 is the identity on its pivot rows, so
+B^T B = I_r + X^T X with X the other n - r rows; when n - r < r the Gram
+matrix is taken as I_{n-r} + X X^T instead, which has the same determinant
+(Sylvester's identity) and the same invariant factors, so ``covolume_squared``
+and the discriminant groups of ``critical`` read the smaller matrix.
+
 The characteristic polynomial is multimodular (Dumas-Pernet-Wan, ISSAC 2005):
 Hessenberg reduction modulo Mersenne primes 2^e - 1 from a fixed list, so no
 primality test runs here, with the coefficients times the product R of the
@@ -818,9 +825,48 @@ def solve_matrix(A, B):
     return Matrix.from_columns(cols, nrows=n)
 
 
+def _pivot_rows(B):
+    """The row p_j of the first nonzero of each column j of B; None for a zero column."""
+    first = [None] * B.ncols
+    for i, row in enumerate(B._rows):
+        for j in row:
+            if first[j] is None:
+                first[j] = i
+    return first
+
+
+def _lattice_gram(B):
+    """A Gram matrix of the lattice spanned by B's columns, on the smaller side
+    when B's pivot rows form an identity block.
+
+    Say B is n x r and integral, and row p_j is exactly e_j for each column j.
+    With X the other n - r rows, B^T B = I_r + X^T X.  Sylvester's identity
+    (Horn and Johnson, *Matrix Analysis*, 2nd ed., Thm 1.3.22) gives
+    det(I_r + X^T X) = det(I_{n-r} + X X^T), and unimodular row and column
+    operations reduce [[I_r, X^T], [-X, I_{n-r}]] to diag(I, I_r + X^T X) and
+    to diag(I_{n-r} + X X^T, I) alike, so both sides have the same invariant
+    factors, hence the same determinant and cokernel.  I_{n-r} + X X^T is
+    returned when n - r < r; B^T B otherwise, and for any other B.
+    """
+    n, r = B.shape
+    if B.is_integral and n - r < r:
+        pivots = _pivot_rows(B)
+        if None not in pivots and all(B._rows[p] == {j: 1} for j, p in enumerate(pivots)):
+            taken = set(pivots)
+            X = B.submatrix([i for i in range(n) if i not in taken], range(r))
+            return X * X.transpose() + Matrix.identity(n - r)
+    return B.transpose() * B
+
+
 def covolume_squared(A):
-    """Gram determinant det(A^T A) of an independent-column matrix."""
-    g = det(A.transpose() * A)
+    """Gram determinant det(A^T A) of an independent-column matrix.
+
+    When A is an integral n x r matrix whose pivot rows form an identity
+    block and n - r < r, the determinant is taken as det(I_{n-r} + X X^T) on
+    the other rows X, by Sylvester's identity (Horn and Johnson, Thm 1.3.22);
+    otherwise as det(A^T A) (``_lattice_gram``).
+    """
+    g = det(_lattice_gram(A))
     if g == 0:
         raise ValueError("columns are linearly dependent")
     return g

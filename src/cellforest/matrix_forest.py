@@ -45,6 +45,7 @@ from math import prod
 from .linalg import (
     CharPoly,
     _canon,
+    _pivot_rows,
     _sparse_columns,
     char_poly,
     column_lattice_basis,
@@ -310,7 +311,10 @@ def tau_covolume(X, weights=None):
     first nonzero, a positive pivot, at row p_j with p ascending, so B[P,:] is
     lower triangular (Cohen, GTM 138, Sec. 2.4).  L B = B A for the matrix A
     of L|_B gives (L B)[P,:] = B[P,:] A, so
-    det(L|_B) = det(L[P,:] B) / prod_j B[p_j, j].
+    det(L|_B) = det(L[P,:] B) / prod_j B[p_j, j].  When every pivot is 1,
+    B[P,:] is the identity and covol(B)^2 = det(I + X^T X) for the other
+    n - r rows X; ``covolume_squared`` then takes det(I + X X^T) when
+    n - r < r (Sylvester's identity, Horn and Johnson, Thm 1.3.22).
     """
     d = X.dim
     _require(d >= 1, "covolume formula needs dimension at least 1")
@@ -320,9 +324,8 @@ def tau_covolume(X, weights=None):
         return TauReport(method="covolume", k=d, value=1, details=(("rank", "0"),))
     L = _top_laplacian(X, weights)
     covol2 = covolume_squared(basis)
-    cols = _sparse_columns(basis)
-    pivots = [min(col) for col in cols]
-    pivot_product = prod(col[p] for col, p in zip(cols, pivots))
+    pivots = _pivot_rows(basis)
+    pivot_product = prod(basis[p, j] for j, p in enumerate(pivots))
     det_action = _canon(Fraction(det(L.submatrix(pivots, range(L.ncols)) * basis)) / pivot_product)
     t_x = torsion(X, d - 1)
     value = _canon(Fraction(t_x * t_x) * det_action / covol2)
