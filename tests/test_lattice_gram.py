@@ -31,7 +31,7 @@ def outcome(f, B):
 
 
 def side(B):
-    """"r" when the Gram matrix is B^T B, else "n-r" (taken on the rows off the pivot rows)."""
+    """The side of B's Gram matrix: "r" for B^T B, else "n-r" (the rows off the pivot rows)."""
     return "r" if _lattice_gram(B) == B.transpose() * B else "n-r"
 
 
