@@ -62,43 +62,38 @@ def integer(text):
     return value
 
 
-# the parameters of each family that takes a fixed number of them
-PARAMETERS = {"simplex-skeleton": "n d", "hypercube": "n", "hypercube-skeleton": "n k", "named": "name"}
+def _ints(build):
+    """A builder from parameter strings that reads them all as integers before it builds."""
+    return lambda *params: build(*map(integer, params))
+
+
+def _shifted(*params):
+    """The shifted complex generated by faces written ``a,b,c``, on vertices 1..(largest vertex)."""
+    gens = [tuple(map(integer, p.split(","))) for p in params]
+    return shifted_complex(max(v for g in gens for v in g), gens)
+
+
+# each family `gen` knows: its parameter names (None for any number of them) and
+# its builder from the parameter strings
+FAMILIES = {
+    "simplex-skeleton": ("n d", _ints(simplex_skeleton)),
+    "colorful": (None, _ints(complete_colorful)),
+    "hypercube": ("n", _ints(hypercube_complex)),
+    "hypercube-skeleton": ("n k", _ints(lambda n, k: skeleton(hypercube_complex(n), k))),
+    "ferrers": (None, _ints(lambda *parts: ferrers_graph(parts))),
+    "shifted": (None, _shifted),
+    "named": ("name", lambda name: named_complex(name) if name == "rp2_cell" else named_simplicial(name)),
+}
 
 
 def _generate(args):
-    family = args.family
-    params = args.params
-    if family in PARAMETERS:
-        names = PARAMETERS[family].split()
-        if len(params) != len(names):
-            plural = "s" if len(names) > 1 else ""
-            raise ValueError(
-                f"{family} takes {len(names)} parameter{plural} ({PARAMETERS[family]}), got {len(params)}"
-            )
-    if family == "simplex-skeleton":
-        n, d = map(integer, params)
-        return cfio.serialize_complex(simplex_skeleton(n, d))
-    if family == "colorful":
-        return cfio.serialize_complex(complete_colorful(*map(integer, params)))
-    if family == "hypercube":
-        (n,) = map(integer, params)
-        return cfio.serialize_complex(hypercube_complex(n))
-    if family == "hypercube-skeleton":
-        n, k = map(integer, params)
-        return cfio.serialize_complex(skeleton(hypercube_complex(n), k))
-    if family == "ferrers":
-        return cfio.serialize_complex(ferrers_graph(map(integer, params)))
-    if family == "shifted":
-        gens = [tuple(map(integer, p.split(","))) for p in params]
-        n = max(v for g in gens for v in g)
-        return cfio.serialize_complex(shifted_complex(n, gens))
-    if family == "named":
-        (name,) = params
-        if name == "rp2_cell":
-            return cfio.serialize_complex(named_complex(name))
-        return cfio.serialize_complex(named_simplicial(name))
-    raise ValueError(f"unknown family {family!r}")
+    family, params = args.family, args.params
+    names, build = FAMILIES[family]
+    if names is not None and len(params) != len(names.split()):
+        count = len(names.split())
+        plural = "s" if count > 1 else ""
+        raise ValueError(f"{family} takes {count} parameter{plural} ({names}), got {len(params)}")
+    return cfio.serialize_complex(build(*params))
 
 
 def cmd_gen(args):
@@ -196,18 +191,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a family instance in the interchange format")
-    p_gen.add_argument(
-        "family",
-        choices=[
-            "simplex-skeleton",
-            "colorful",
-            "hypercube",
-            "hypercube-skeleton",
-            "ferrers",
-            "shifted",
-            "named",
-        ],
-    )
+    p_gen.add_argument("family", choices=FAMILIES)
     p_gen.add_argument("params", nargs="+", help="family parameters (e.g. 6 2, or a named id)")
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(fn=cmd_gen)

@@ -147,13 +147,19 @@ def _exact_weight(x, what):
     return Fraction(x)
 
 
-def _vertex_weights(v):
-    """{vertex: Fraction} from a sequence indexed from vertex 1, or a mapping."""
+def _vertex_weights(v, vertices):
+    """{vertex: Fraction} from a sequence indexed from vertex 1, or a mapping;
+    each of ``vertices`` needs a weight (``ValueError`` naming the first that
+    has none)."""
     items = v.items() if isinstance(v, dict) else enumerate(v, start=1)
-    return {
+    weights = {
         _exact_int(vertex, "vertex"): _exact_weight(x, f"weight of vertex {vertex}")
         for vertex, x in items
     }
+    for vertex in vertices:
+        if vertex not in weights:
+            raise ValueError(f"missing weight for vertex {vertex}")
+    return weights
 
 
 class WeightAssignment:
@@ -184,7 +190,7 @@ class WeightAssignment:
         ``v`` maps vertex labels 1..n to positive rationals (sequence indexed
         from vertex 1, or a mapping).
         """
-        vw = _vertex_weights(v)
+        vw = _vertex_weights(v, sorted(set().union(*S.facets)))
         return cls({
             (k, i): prod(vw[u] for u in face)
             for k, layer in enumerate(S.faces_by_dim())

@@ -321,7 +321,7 @@ def shifted_signatures(S):
 
 def shifted_tree_count_weighted(S, v):
     """Vertex-weighted tree count of a pure shifted complex via critical pairs."""
-    v = _vertex_weights(v)
+    v = _vertex_weights(v, range(1, S.n + 1))
     d = S.dim
     star = [sorted(f) for f in S.facets if 1 in f]
     value = v[1] ** len(star)

@@ -60,6 +60,7 @@ from .complexes import (
     _gram,
     boundary_matrix,
     laplacian,
+    relative_boundary,
     skeleton,
     split_cells,
     vertex_components,
@@ -122,12 +123,11 @@ def default_root(X):
     return split_cells(X, d - 1, default_cobase(X))[1]
 
 
-def _row_basis_rows(X, sel, msg):
-    """The rows of the top boundary on the (d-1)-cells ``sel``, after checking
+def _row_basis_rows(X, root, msg):
+    """The rows of the top boundary off the (d-1)-cells ``root``, after checking
     that they are a row basis of it (``HypothesisError`` with ``msg`` if not)."""
-    b = boundary_matrix(X, X.dim)
-    rows = b.submatrix(sel, range(b.ncols))
-    _require(rank(rows) == len(sel) == rank(b), msg)
+    rows = relative_boundary(X, root)
+    _require(rank(rows) == rows.nrows == rank(boundary_matrix(X, X.dim)), msg)
     return rows
 
 
@@ -163,47 +163,37 @@ def _level_pseudodet(X, k, weights=None, similar=False):
 def tau_reduced(X, root=None, weights=None):
     """Forest count as a reduced-Laplacian determinant at a root.
 
-    With vanishing codim-1 and codim-2 rational homology and a maximal
-    codim-1 forest as root, the correction is the squared torsion ratio of the
-    ambient complex to the root; for a general root it is the squared ratio of
-    the codim-1 torsion to the relative torsion at the root.
+    One formula, tau = (t_X / t_R)^2 det L_S with S the (d-1)-cells off the
+    root R, under either of two sets of hypotheses.  Where beta_{d-1} and
+    beta_{d-2} vanish and the root is a maximal codim-1 forest, t_X and t_R
+    are the codim-2 torsions t_{d-2} of the complex and of the root;
+    otherwise the root's complement must be a row basis of the top boundary,
+    and they are the codim-1 torsion t_{d-1}(X) and the relative torsion
+    t_{d-1}(X, R).  The hypotheses are checked before det L_S is taken.
     """
     d = X.dim
     _require(d >= 1, "reduced determinant needs dimension at least 1")
     root, sel = split_cells(X, d - 1, default_root(X) if root is None else root)
     L = _top_laplacian(X, weights)
-    det_ls = det(L.submatrix(sel, sel))
-    hypotheses = []
-    maximal_root = (
-        is_maximal_spanning_forest(X, root, d - 1)
-        and betti(X, d - 1) == 0
-        and betti(X, d - 2) == 0
-    )
-    if maximal_root:
-        hypotheses.append(f"beta_{d-1}(X)=0")
-        hypotheses.append(f"beta_{d-2}(X)=0")
-        hypotheses.append("root is a maximal codim-1 forest")
-        t_x = torsion(X, d - 2)
-        t_r = forest_torsion(X, root, d - 1)
-        value = _canon(Fraction(t_x * t_x, t_r * t_r) * det_ls)
-        corrections = ((f"t{d-2}(X)", t_x), (f"t{d-2}(R)", t_r))
+    if is_maximal_spanning_forest(X, root, d - 1) and betti(X, d - 1) == 0 and betti(X, d - 2) == 0:
+        hypotheses = (f"beta_{d-1}(X)=0", f"beta_{d-2}(X)=0", "root is a maximal codim-1 forest")
+        corrections = ((f"t{d-2}(X)", torsion(X, d - 2)), (f"t{d-2}(R)", forest_torsion(X, root, d - 1)))
     else:
         rows = _row_basis_rows(
-            X, sel, "selection is not a root: complementary rows are not a row basis of the top boundary"
+            X, root, "selection is not a root: complementary rows are not a row basis of the top boundary"
         )
-        hypotheses.append("root complement is a row basis of the top boundary")
-        t_x = torsion(X, d - 1)
+        hypotheses = ("root complement is a row basis of the top boundary",)
         # the relative torsion t_{d-1}(X, R) is that of the rows off the root
-        t_rel = torsion_order(rows)
-        value = _canon(Fraction(t_x * t_x, t_rel * t_rel) * det_ls)
-        corrections = ((f"t{d-1}(X)", t_x), (f"t{d-1}(X,R)", t_rel))
+        corrections = ((f"t{d-1}(X)", torsion(X, d - 1)), (f"t{d-1}(X,R)", torsion_order(rows)))
+    (_, t_x), (_, t_r) = corrections
+    det_ls = det(L.submatrix(sel, sel))
     return TauReport(
         method="reduced",
         k=d,
-        value=value,
+        value=_canon(Fraction(t_x * t_x, t_r * t_r) * det_ls),
         corrections=corrections,
         details=(("det_reduced", format_exact(det_ls)), ("root", ",".join(map(str, root)))),
-        hypotheses=tuple(hypotheses),
+        hypotheses=hypotheses,
     )
 
 
@@ -349,12 +339,11 @@ def tau_cobase(X, cobase=None):
     d = X.dim
     _require(d >= 1, "cobase determinant needs dimension at least 1")
     cobase, root = split_cells(X, d - 1, default_cobase(X) if cobase is None else cobase)
-    _row_basis_rows(X, cobase, "selection is not a cobase: rows are not a row basis of the top boundary")
-    L = laplacian(X, d - 1, "ud")
-    det_ls = det(L.submatrix(cobase, cobase))
+    _row_basis_rows(X, root, "selection is not a cobase: rows are not a row basis of the top boundary")
+    defect = cobase_kernel_defect(X, d - 1, cobase)
     t_x = torsion(X, d - 2)
     t_r = forest_torsion(X, root, d - 1)
-    defect = cobase_kernel_defect(X, d - 1, cobase)
+    det_ls = det(laplacian(X, d - 1, "ud").submatrix(cobase, cobase))
     value = _canon(Fraction(t_x * t_x, t_r * t_r * defect * defect) * det_ls)
     return TauReport(
         method="cobase",
@@ -373,9 +362,9 @@ def tau_cobase_spectral(X, cap=None):
     """
     d = X.dim
     _require(d >= 1, "cobase spectral formula needs dimension at least 1")
-    lam = _level_pseudodet(X, d)
     h = cobase_defect_enumerator(X, d - 1, cap=cap)
     t_x = torsion(X, d - 2)
+    lam = _level_pseudodet(X, d)
     value = _canon(Fraction(t_x * t_x) * lam / h)
     return TauReport(
         method="cobase-spectral",

@@ -21,7 +21,7 @@ Where beta_k = 0 the complements of the cobases at level k are the maximal
 k-forests (the row matroid of d_{k+1} is then dual to the column matroid of
 d_k), so the cobase enumerator walks the forest search over d_k, which reads
 torsion 1 off a +-1 minor.  Elsewhere the cobases are searched row-side,
-roots take their torsion from ``linalg.invariant_factors``, and kernel
+roots take their torsion from ``homology.forest_torsion``, and kernel
 defects project one kernel basis and one saturated-image basis per level
 onto each cobase (the correspondence theorem, ``_kernel_defect``).
 
@@ -46,7 +46,6 @@ from .linalg import (
     kernel_lattice_basis,
     rank,
     saturation_basis,
-    torsion_order,
 )
 from .complexes import _integer_weights, boundary_matrix, require_boundary_composition, split_cells
 from .homology import betti, forest_torsion
@@ -404,11 +403,9 @@ def cobase_defect_enumerator(X, k, cap=None):
     ker, sat = _defect_context(X, k)
     if sat is None:
         return _forest_sum(forest_search(X, k, cap, "cobase enumeration"))[0]
-    bk = boundary_matrix(X, k)
     total = 0
     for cobase in enumerate_cobases(X, k, cap):
-        _, root = split_cells(X, k, cobase)
-        t_root = torsion_order(bk.submatrix(range(bk.nrows), root))
+        t_root = forest_torsion(X, split_cells(X, k, cobase)[1], k)
         defect = _kernel_defect(ker, sat, cobase)
         total += t_root * t_root * defect * defect
     return total

@@ -166,6 +166,9 @@ class TestWeightedLaplacian:
             ({1: 1, 1.5: 2, 3: 1}, "vertex 1.5 is not an int"),
             ({True: 2, 2: 1, 3: 1}, "vertex True is not an int"),
             ({1: 1, "2": 1, 3: 1}, "vertex '2' is not an int"),
+            ({1: 2, 2: 3}, "missing weight for vertex 3"),
+            ([2, 3], "missing weight for vertex 3"),
+            ({2: 3, 3: 1}, "missing weight for vertex 1"),
         ],
     )
     def test_inexact_vertex_weights_rejected(self, v, message):

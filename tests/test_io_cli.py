@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cellforest import io as cfio
+from cellforest import io as cfio, linalg
 from cellforest.cli import main
 from cellforest.complexes import SimplicialComplex, from_facets
 from cellforest.families import hypercube_complex, named_complex, named_simplicial
@@ -173,6 +173,22 @@ class TestCli:
         assert main(["tau", str(path), "--method", "cobase-spectral", "--cap", "3003"]) == 0
         out = capsys.readouterr().out
         assert "value: 4\n" in out and out.endswith("cap: 3003\n")
+
+    def test_cobase_spectral_refuses_by_the_cap_before_any_char_poly(self, tmp_path, capsys, monkeypatch):
+        # L_2 of K_12^3 is 220 x 220; the refusal needs only the subset count
+        path = tmp_path / "k12_3.txt"
+        main(["gen", "simplex-skeleton", "12", "3", "--out", str(path)])
+        calls = []
+        real = linalg.char_poly
+        monkeypatch.setattr(linalg, "char_poly", lambda M: calls.append(M.shape) or real(M))
+        assert main(["tau", str(path), "--method", "cobase-spectral"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "cap exceeded: cobase enumeration at k=2 needs "
+            "33164717560744863320014019902508389350606763137995632 subsets, cap is 5000000\n"
+        )
+        assert calls == []
 
     def test_verify_cap_reaches_the_cobase_spectral_rows(self):
         from cellforest.verify import run_suite

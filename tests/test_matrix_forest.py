@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from cellforest import linalg, matrix_forest
+from cellforest import io as cfio, linalg, matrix_forest
 from cellforest.complexes import (
     WeightAssignment,
     dual_complex,
@@ -62,6 +62,15 @@ def _outcome(route, X):
     return report.render(), type(report.value)
 
 
+def _recorded(monkeypatch, name):
+    """The shapes of the matrices passed to ``matrix_forest.<name>``, recorded
+    as the calls happen."""
+    shapes = []
+    real = getattr(matrix_forest, name)
+    monkeypatch.setattr(matrix_forest, name, lambda M: shapes.append(M.shape) or real(M))
+    return shapes
+
+
 class TestReduced:
     def test_bipyramid_star_root(self, bipyramid):
         labels = bipyramid.labels(1)
@@ -106,6 +115,17 @@ class TestReduced:
             n = X.n_cells(1)
             with pytest.raises(ValueError, match=rf"^1-cell index {n} out of range 0\.\.{n - 1}$"):
                 tau_reduced(X, root=(0, n))
+
+    def test_a_bad_root_is_refused_before_the_determinant(self, monkeypatch):
+        # three edges of K_6^2 are no maximal forest, and the other twelve
+        # rows exceed rank d_2 = 10
+        X = simplex_skeleton(6, 2).to_chain_complex()
+        shapes = _recorded(monkeypatch, "det")
+        with pytest.raises(HypothesisError, match="^selection is not a root: "):
+            tau_reduced(X, root=(0, 1, 2))
+        assert shapes == []
+        assert tau_reduced(X).value == 6 ** 6
+        assert shapes == [(10, 10)]
 
 
 class TestPseudodet:
@@ -286,6 +306,22 @@ class TestCobase:
         for route in (tau_cobase, tau_cobase_spectral):
             with pytest.raises(ValueError, match=r"d_0 d_1 != 0 at level 0"):
                 route(X)
+
+    def test_the_chain_condition_is_checked_before_the_determinant(self, monkeypatch):
+        # matrix-form input: d_1 = (1, 1)^T, so d_0 d_1 = 2
+        X = cfio.parse_complex("dim 1\nmatrix 1 2 1\n1\n1\n")
+        shapes = _recorded(monkeypatch, "det")
+        with pytest.raises(ValueError, match=r"^d_0 d_1 != 0 at level 0"):
+            tau_cobase(X)
+        assert shapes == []
+
+    def test_the_cap_is_checked_before_the_pseudodeterminant(self, rp2_six, monkeypatch):
+        shapes = _recorded(monkeypatch, "pseudodet")
+        with pytest.raises(CapExceeded, match="^cobase enumeration at k=1 needs 3003 subsets, cap is 1$"):
+            tau_cobase_spectral(rp2_six, cap=1)
+        assert shapes == []
+        assert tau_cobase_spectral(rp2_six, cap=3003).value == 4
+        assert len(shapes) == 1
 
 
 class TestAlgebraicWeighted:
