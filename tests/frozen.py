@@ -32,7 +32,6 @@ from cellforest.linalg import (
     torsion_order,
     _canon as _canon_entry,
     _canon as _exactify,
-    _eliminate,
     _greedy_path,
     _hessenberg_char_poly_mod,
     _smith,
@@ -735,6 +734,40 @@ def sum_squared_minors(cols, target):
         return total
 
     return rec(0, 0, [], 1, 1)
+
+
+def _eliminate(cands, pr, v, pv):
+    """Reduce candidates (j, w, a, g) against the pivot column v, pivot pv in row pr.
+
+    Each w <- pv*w - w[pr]*v is divided by its content h, so that
+    w = (a/g)*column_j + (pivot columns) holds with a <- a*pv and g <- g*h.
+    A candidate reduced to zero depends on the pivots and is dropped.  No dict
+    given is mutated (w is copied before its update), so the columns may be
+    the stored rows of a Matrix, which ``_sparse_rows`` hands out uncopied.
+    """
+    rest = []
+    for cand in cands:
+        j, w, a, g = cand
+        c = w.get(pr)
+        if not c:
+            rest.append(cand)
+            continue
+        # w <- pv*w - c*v kills row pr fraction-free
+        w = {r: x * pv for r, x in w.items()}
+        for r, x in v.items():
+            nx = w.get(r, 0) - c * x
+            if nx:
+                w[r] = nx
+            else:
+                del w[r]
+        if not w:
+            continue
+        h = math.gcd(*w.values())
+        if h > 1:
+            w = {r: x // h for r, x in w.items()}
+            g *= h
+        rest.append((j, w, a * pv, g))
+    return rest
 
 
 def independent_subsets_unpruned(cols, size):
