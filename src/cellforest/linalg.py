@@ -11,8 +11,10 @@ Dumas-Saunders-Villard, J. Symbolic Comput. 2001): columns (or rows) are
 {index: value} dicts, and each surviving one is reduced fraction-free against
 a pivot, w <- pv*w - w[pr]*v, divided by its content, and dropped once zero.
 Unit pivots come first.  The oracle's depth-first search branches over this
-step; rank, the bases and ``det`` follow its leftmost path (``_greedy_path``),
-which also yields the signed det of the basis on its pivot indices.
+step down to the nodes two short of a leaf, which read each leaf's pivot off
+the reduced entries without storing them; rank, the bases and ``det`` follow
+its leftmost path (``_greedy_path``), which also yields the signed det of the
+basis on its pivot indices.
 ``invariant_factors`` pivots only on entries +-1 of rows never divided by a
 content, so each pivot is a unimodular step that splits off a factor 1, and
 it runs the dense Smith form only on the rows those pivots leave.

@@ -9,11 +9,13 @@ literal and visit every forest, cobase and rooted forest.  A depth-first
 search finds them: it branches over the sparse elimination step of
 ``linalg`` and brings one nonzero maximal minor to each leaf.  One generator
 runs it on an explicit stack of frames, so its depth is not bound by the
-recursion limit; a node two short of a leaf pushes no frame and yields the
-survivors of each elimination as leaves.  The search leaves a node at its
-first child without a leaf, because no later sibling has one either: the
-candidates from position p on span a rank that only falls as p grows.  A
-child with fewer candidates than it needs is known dead before it is pushed.
+recursion limit; a node two short of a leaf pushes no frame and makes no
+elimination: it reads each leaf's pivot, and with it the minor, straight off
+the later column reduced against its own pivot, which it never stores.  The
+search leaves a node at its first child without a leaf, because no later
+sibling has one either: the candidates from position p on span a rank that
+only falls as p grows.  A child with fewer candidates than it needs is known
+dead before it is pushed.
 Census leaves read their torsion off their own minor.  The census streams:
 ``forest_search`` checks the cap and returns the lazy search, which every
 count and sum walks once; only ``enumerate_forests`` keeps the forests.
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .linalg import (
     Matrix,
@@ -80,6 +82,36 @@ class ForestCensus:
 # ---------------------------------------------------------------------------
 
 
+def _reduced_pivot(w, c, v, pv):
+    """The pivot that ``linalg._eliminate`` takes in pv*w - c*v (c = w[pr],
+    nonzero), times the content it divides out, or 0 if that column vanishes.
+
+    The entries are walked in the order ``_eliminate`` stores them, w's rows
+    first and then v's other rows, and no dict is built: the first entry +-1
+    (the content is then 1), else the first entry +-h for the content h, else
+    the last entry.
+    """
+    rest = []
+    for r, x in w.items():
+        if x := pv * x - c * v.get(r, 0):
+            if x == 1 or x == -1:
+                return x
+            rest.append(x)
+    for r, x in v.items():
+        if r not in w:
+            x *= -c
+            if x == 1 or x == -1:
+                return x
+            rest.append(x)
+    if not rest:
+        return 0
+    h = gcd(*rest)
+    for x in rest:
+        if x == h or x == -h:
+            return x
+    return rest[-1]
+
+
 def _independent_subsets(cols, size):
     """Independent ``size``-subsets of sparse {row: value} integer columns, in
     lexicographic order, each as (subset, |det|) for one nonzero maximal minor.
@@ -93,8 +125,12 @@ def _independent_subsets(cols, size):
 
     One generator walks an explicit stack of frames [prefix, candidates, num,
     den, next position], so the depth of the search is not bound by Python's
-    recursion limit.  A node two short of a leaf pushes no frame: it yields
-    the survivors of each of its eliminations as leaves.
+    recursion limit.  A node two short of a leaf pushes no frame and calls
+    no ``_eliminate``: for each later candidate w it reads the pivot x that
+    ``_eliminate`` would give pv*w - c*v (c = w[pr]) off those entries, times
+    the content, with ``_reduced_pivot``; w's own pivot where c = 0, and no
+    leaf where the column vanishes.  The leaf's minor is then
+    num*pv*g * x*g_w / (den*a * a_w*pv), without the last pv where c = 0.
 
     A node that needs ``need`` more columns from its candidates c_0, c_1, ...
     has a leaf below its child on c_p exactly when rank(c_p, c_{p+1}, ...) is
@@ -126,18 +162,28 @@ def _independent_subsets(cols, size):
             for pr, pv in v.items():
                 if pv == 1 or pv == -1:
                     break
-            rest = _eliminate(cands[pos + 1 :], pr, v, pv)
-            if len(rest) >= need - 1:
-                prefix, num, den = prefix + (j,), num * pv * g, den * a
-                if need > 2:
+            prefix, num, den = prefix + (j,), num * pv * g, den * a
+            if need > 2:
+                rest = _eliminate(cands[pos + 1 :], pr, v, pv)
+                if len(rest) >= need - 1:
                     stack.append([prefix, rest, num, den, 0])
                     continue
-                for j, v, a, g in rest:
-                    for pr, pv in v.items():
-                        if pv == 1 or pv == -1:
-                            break
-                    yield prefix + (j,), abs(num * pv * g // (den * a))
-                continue
+            else:
+                found = False
+                for j, w, a, g in cands[pos + 1 :]:
+                    c = w.get(pr)
+                    if not c:
+                        for x in w.values():
+                            if x == 1 or x == -1:
+                                break
+                    elif x := _reduced_pivot(w, c, v, pv):
+                        a *= pv
+                    else:
+                        continue
+                    found = True
+                    yield prefix + (j,), abs(num * x * g // (den * a))
+                if found:
+                    continue
         # this frame stops, dead unless a candidate before ``pos`` had a leaf;
         # a dead child stops its parent in turn
         found = pos > 0

@@ -2,6 +2,7 @@
 frozen loops that tested every subset of the right size from scratch."""
 
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import comb, prod
@@ -204,13 +205,47 @@ def test_search_yields_lexicographic_independent_sets():
     assert list(_independent_subsets(cols, 3)) == []
 
 
-def counting_eliminate(monkeypatch, module):
-    """Count the calls that ``module`` makes to ``_eliminate`` in a list of one."""
+# a node two short of a leaf reads each leaf's pivot off pv*w - c*v, c = w[pr],
+# walked as ``linalg._eliminate`` stores it (w's rows, then v's other rows):
+# one column list per branch, with its leaves of size 2 worked by hand
+LEAF_STEPS = {
+    # c = 0: w's own pivot, its first +-1 (row 2) or else its last entry (3)
+    "c is 0": ([{0: 1}, {1: 2, 2: 3}, {1: 2, 2: -1}], [((0, 1), 3), ((0, 2), 1), ((1, 2), 8)]),
+    # pv*w - c*v = {1: -1, 2: -6}
+    "+-1 among w's rows": ([{0: 1, 2: 3}, {0: 2, 1: -1}], [((0, 1), 1)]),
+    # {2: 2, 1: 1}: the 1 comes from v's row 1, which w lacks
+    "+-1 among v's rows only": ([{0: 1, 1: -1}, {0: 1, 2: 2}], [((0, 1), 1)]),
+    # {2: 4, 3: 2, 1: -2}, content 2 at its second entry; on (1, 2) the
+    # content 4 is the first entry, and on (2, 3) the pivot is pv = 4
+    "content h > 1": ([{0: 1, 1: 2}, {0: 1, 2: 4, 3: 2}, {0: 2, 1: 4}, {0: 1, 1: 1}],
+                      [((0, 1), 2), ((0, 3), 1), ((1, 2), 4), ((1, 3), 1), ((2, 3), 2)]),
+    # {2: 4, 3: 10, 1: -6}: no entry +-2, so the last stored one, from v
+    "no entry +-h": ([{0: 1, 1: 6}, {0: 1, 2: 4, 3: 10}], [((0, 1), 6)]),
+    # -2v and 3v reduce to zero and give no leaf, so v = {0: -2, 1: -4} at
+    # position 2, with only 3v after it, is a dead child of the root
+    "parallel to v": ([{0: 1, 1: 2}, {1: 1}, {0: -2, 1: -4}, {0: 3, 1: 6}],
+                      [((0, 1), 1), ((1, 2), 2), ((1, 3), 3)]),
+}
+
+
+@pytest.mark.parametrize("case", LEAF_STEPS)
+def test_each_leaf_step_matches_the_frozen_search(case):
+    cols, leaves = LEAF_STEPS[case]
+    assert list(_independent_subsets(cols, 2)) == leaves
+    for size in range(len(cols) + 2):
+        assert list(_independent_subsets(cols, size)) == list(independent_subsets_unpruned(cols, size))
+
+
+def counting_eliminate(monkeypatch, module, interior=False):
+    """Count the calls that ``module`` makes to ``_eliminate`` in a list of one;
+    with ``interior``, only those made where the caller's ``need`` exceeds 2:
+    the nodes at which the oracle's search still eliminates, as it reads the
+    leaves below a node two short of a leaf off its pivot column."""
     calls = [0]
     eliminate = module._eliminate
 
     def counted(*args):
-        calls[0] += 1
+        calls[0] += not interior or sys._getframe(1).f_locals["need"] > 2
         return eliminate(*args)
 
     monkeypatch.setattr(module, "_eliminate", counted)
@@ -234,7 +269,8 @@ def test_search_matches_frozen_unpruned_search(monkeypatch):
 
 
 def test_search_does_the_work_of_the_frozen_recursive_search(monkeypatch):
-    stack, recursive = counting_eliminate(monkeypatch, oracle), counting_eliminate(monkeypatch, frozen)
+    stack = counting_eliminate(monkeypatch, oracle)
+    recursive = counting_eliminate(monkeypatch, frozen, interior=True)
     rng = random.Random(SEED)
     deep = 0
     for _ in range(400):
@@ -247,7 +283,7 @@ def test_search_does_the_work_of_the_frozen_recursive_search(monkeypatch):
             want = [(leaf, recursive[0]) for leaf in independent_subsets_recursive(cols, size)]
             assert [(leaf, stack[0]) for leaf in _independent_subsets(cols, size)] == want
             assert stack[0] == recursive[0]
-            deep += size >= 3 and stack[0] > size - 1
+            deep += size >= 3 and stack[0] > size - 2
     # searches that push frames below the root and leave their leftmost path
     # must occur, or the stack's pops go untested
     assert deep >= 100
@@ -258,19 +294,21 @@ def test_census_search_stops_at_the_first_dead_sibling(monkeypatch):
     # past the census cache, which an earlier test may have filled
     census = enumerate_forests.__wrapped__(simplex_skeleton(6, 2).to_chain_complex())
     assert len(census.forests) == 46_620
-    # the search without the sibling rule makes 98,601 calls
-    assert calls[0] == 66_834
+    # the search without the sibling rule makes 54,469 calls; with it, and
+    # eliminating at every node short of a leaf, it made 66,834
+    assert calls[0] == 31_401
 
 
-def test_census_search_reaches_its_first_leaf_after_one_elimination_per_pivot(monkeypatch):
+def test_census_search_reaches_its_first_leaf_after_one_elimination_per_pivot_but_the_last_two(monkeypatch):
     calls = counting_eliminate(monkeypatch, oracle)
     cols = _sparse_columns(simplex_skeleton(6, 2).to_chain_complex().boundaries[2])
     search = _independent_subsets(cols, 10)
     assert calls[0] == 0
-    # each pivot but the last reduces the columns after it, so the first of
-    # ten columns is reached after nine eliminations
+    # each pivot but the last two reduces the columns after it, and the ninth
+    # reads the tenth column's pivot off that column, so the first of ten
+    # columns is reached after eight eliminations
     assert next(search) == ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9), 1)
-    assert calls[0] == 9
+    assert calls[0] == 8
 
 
 def test_cobase_enumerator_on_a_path_is_one_search_over_its_vertices(monkeypatch):
