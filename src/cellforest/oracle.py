@@ -23,7 +23,7 @@ Where beta_k = 0 the complements of the cobases at level k are the maximal
 k-forests (the row matroid of d_{k+1} is then dual to the column matroid of
 d_k), so the cobase enumerator walks the forest search over d_k, which reads
 torsion 1 off a +-1 minor.  Elsewhere the cobases are searched row-side,
-roots take their torsion from ``homology.forest_torsion``, and kernel
+roots take their torsion off d_k's columns on the root, and kernel
 defects project one kernel basis and one saturated-image basis per level
 onto each cobase (the correspondence theorem, ``_kernel_defect``).
 
@@ -48,6 +48,7 @@ from .linalg import (
     kernel_lattice_basis,
     rank,
     saturation_basis,
+    torsion_order,
 )
 from .complexes import _integer_weights, boundary_matrix, require_boundary_composition, split_cells
 from .homology import betti, forest_torsion
@@ -442,16 +443,19 @@ def cobase_defect_enumerator(X, k, cap=None):
     exactly the maximal k-forests: the row matroid of d_{k+1} is dual to the
     column matroid of d_k once im d_{k+1} fills ker d_k over Q.  The sum is
     then the forest search over d_k, which reads torsion 1 off a +-1 minor.
-    Otherwise the cobases are searched row-side and each is projected for its
-    defect.  It too presumes d_k d_{k+1} = 0.
+    Otherwise the cobases are searched row-side: each root's torsion is that
+    of d_k's columns on the root, split from the cobase once, and each cobase
+    is projected for its defect.  It too presumes d_k d_{k+1} = 0.
     """
     boundary_matrix(X, k + 1)  # at k = dim there is no d_{k+1}, a refusal
     ker, sat = _defect_context(X, k)
     if sat is None:
         return _forest_sum(forest_search(X, k, cap, "cobase enumeration"))[0]
+    bk = boundary_matrix(X, k)
+    rows = range(bk.nrows)
     total = 0
     for cobase in enumerate_cobases(X, k, cap):
-        t_root = forest_torsion(X, split_cells(X, k, cobase)[1], k)
+        t_root = torsion_order(bk.submatrix(rows, split_cells(X, k, cobase)[1]))
         defect = _kernel_defect(ker, sat, cobase)
         total += t_root * t_root * defect * defect
     return total
