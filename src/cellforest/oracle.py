@@ -15,10 +15,10 @@ the later column reduced against its own pivot, which it never stores.  The
 search leaves a node at its first child without a leaf, because no later
 sibling has one either: the candidates from position p on span a rank that
 only falls as p grows.  A child with fewer candidates than it needs is known
-dead before it is pushed.
-Census leaves read their torsion off their own minor.  The census streams:
-``forest_search`` checks the cap and returns the lazy search, which every
-count and sum walks once; only ``enumerate_forests`` keeps the forests.
+dead before it is pushed.  Census leaves read their torsion off their own
+minor.  The census streams: ``forest_search`` checks the cap and returns the
+lazy search, which every count and sum walks once; only ``enumerate_forests``
+keeps the forests.
 Where beta_k = 0 the complements of the cobases at level k are the maximal
 k-forests (the row matroid of d_{k+1} is then dual to the column matroid of
 d_k), so the cobase enumerator walks the forest search over d_k, which reads
