@@ -84,8 +84,9 @@ class ForestCensus:
 
 
 def _reduced_pivot(w, c, v, pv):
-    """The pivot that ``linalg._eliminate`` takes in pv*w - c*v (c = w[pr],
-    nonzero), times the content it divides out, or 0 if that column vanishes.
+    """The pivot that ``linalg._eliminate`` takes in pv*w - c*v (c nonzero,
+    w's entry on the row of v's pivot pv), times the content it divides out,
+    or 0 if that column vanishes.
 
     The entries are walked in the order ``_eliminate`` stores them, w's rows
     first and then v's other rows, and no dict is built: the first entry +-1
