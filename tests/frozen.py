@@ -11,7 +11,10 @@ from functools import lru_cache
 from itertools import combinations
 
 from cellforest.complexes import (
+    _exact_int,
     boundary_matrix,
+    from_facets,
+    is_shifted,
     laplacian,
     split_cells,
     weighted_laplacian,
@@ -1245,3 +1248,79 @@ def tau_algebraic_weighted_by_recursion(X, weights):
         corrections=((f"t{d-2}(X)", t_x),),
         hypotheses=(f"beta_{d-1}(X)=0", f"beta_{d-2}(X)=0"),
     )
+
+
+def delete_and_link_by_faces(S, v):
+    """``complexes.delete_and_link`` through every face of ``S``."""
+    v = _exact_int(v, "vertex")
+    deletion = []
+    link = []
+    for layer in S.faces_by_dim():
+        for face in layer:
+            fs = set(face)
+            if v in fs:
+                rest = fs - {v}
+                if rest:
+                    link.append(rest)
+            else:
+                deletion.append(fs)
+    if not deletion:
+        raise ValueError(f"deleting vertex {v} leaves an empty complex")
+    if not link:
+        raise ValueError(f"vertex {v} has an empty link")
+    return from_facets(S.n, deletion), from_facets(S.n, link)
+
+
+def shifted_complex_by_own_filter(n, generators):
+    """``families.shifted_complex`` with its own maximal-face filter."""
+    gens = [tuple(sorted({_exact_int(v, "vertex") for v in g})) for g in generators]
+    if not gens:
+        raise ValueError("need at least one generating facet")
+    for g in gens:
+        if not g or g[0] < 1 or g[-1] > n:
+            raise ValueError("generators must be nonempty subsets of 1..n")
+    seen = set(gens)
+    stack = list(gens)
+    while stack:
+        face = stack.pop()
+        fs = set(face)
+        lowered = []
+        for a in face:
+            if len(face) > 1:
+                lowered.append(tuple(x for x in face if x != a))
+            if a > 1 and (a - 1) not in fs:
+                lowered.append(tuple(sorted(fs - {a} | {a - 1})))
+        for nxt in lowered:
+            if nxt and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    maximal = [f for f in seen if not any(set(f) < set(g) for g in seen)]
+    top = max(len(f) for f in maximal)
+    if any(len(f) != top for f in maximal):
+        raise ValueError("generators produce a non-pure complex")
+    S = from_facets(n, [set(f) for f in maximal])
+    if not is_shifted(S):
+        raise AssertionError("order ideal closure failed to produce a shifted complex")
+    return S
+
+
+def shifted_signatures_by_faces(S):
+    """``families.shifted_signatures`` through every face of ``S``."""
+    if not is_shifted(S):
+        raise ValueError("signatures are defined for shifted complexes")
+    d = S.dim
+    deletion_faces = {
+        f for layer in S.faces_by_dim() for f in layer if 1 not in f
+    }
+    tops = sorted(f for f in deletion_faces if len(f) == d + 1)
+    sigs = []
+    for face in tops:
+        fs = set(face)
+        for j, a in enumerate(face):
+            if (a + 1) in fs:
+                continue
+            bumped = tuple(sorted(fs - {a} | {a + 1}))
+            if bumped in deletion_faces:
+                continue
+            sigs.append((face[:j], tuple(range(1, a + 1))))
+    return tuple(sorted(sigs))

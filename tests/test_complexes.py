@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cellforest.complexes import (
     ChainComplex,
+    SimplicialComplex,
     WeightAssignment,
     boundary_matrix,
     delete_and_link,
@@ -20,10 +23,14 @@ from cellforest.complexes import (
 from cellforest.families import (
     hypercube_complex,
     named_simplicial,
+    shifted_complex,
+    shifted_signatures,
     shifted_tree_count_weighted,
     simplex_skeleton,
 )
 from cellforest.linalg import Matrix, rank
+
+from frozen import delete_and_link_by_faces, shifted_complex_by_own_filter, shifted_signatures_by_faces
 
 
 class TestFromFacets:
@@ -243,11 +250,90 @@ class TestShifted:
         assert not is_shifted(named_simplicial("rp2_six_vertex"))
 
     def test_deletion_and_link_stay_shifted(self):
-        from cellforest.families import shifted_complex
-
         for gens in ([(2, 3, 5)], [(3, 5)], [(2, 4), (1, 5)]):
             n = max(v for g in gens for v in g)
             S = shifted_complex(n, gens)
             deletion, link = delete_and_link(S, 1)
             assert is_shifted(deletion, relabel=True)
             assert is_shifted(link, relabel=True)
+
+
+# ---------------------------------------------------------------------------
+# deletion, link and shifted closures against their frozen face expansions
+# ---------------------------------------------------------------------------
+
+REBUILD_SEED = 3203
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives, with every complex as ``(n, facets)``, or the
+    type and text of what it raises."""
+    try:
+        got = fn(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, SimplicialComplex):
+        return got.n, got.facets
+    return tuple((S.n, S.facets) if isinstance(S, SimplicialComplex) else S for S in got)
+
+
+def _facet_list(rng, n):
+    """Facets on 1..n of mixed sizes, with nested, repeated and single-vertex ones."""
+    facets = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 5))]
+    for _ in range(rng.randint(0, 2)):
+        f = rng.choice(facets)
+        facets.append(rng.choice((f, f[: rng.randint(1, len(f))], [rng.randint(1, n)])))
+    return facets
+
+
+def _order_ideal(n, gens):
+    """The componentwise order ideal of ``gens`` on 1..n: every face that lies
+    entrywise below some equally long subset of a generator, pure or not."""
+    faces = [
+        f
+        for r in range(1, n + 1)
+        for f in combinations(range(1, n + 1), r)
+        if any(all(a <= b for a, b in zip(f, h)) for g in gens for h in combinations(sorted(g), r))
+    ]
+    return from_facets(n, faces)
+
+
+class TestRebuildsFromFacets:
+    def test_delete_and_link_match_their_face_expansion(self):
+        rng = random.Random(REBUILD_SEED)
+        cases = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            facets = _facet_list(rng, n)
+            present = set().union(*map(set, facets))
+            missing = sorted(set(range(1, n + 1)) - present)
+            vertices = [0, n + 1, *rng.sample(sorted(present), min(2, len(present)))]
+            vertices += missing[:1]
+            # the raw generators keep their nested facets; from_facets drops them
+            for S in (from_facets(n, facets), SimplicialComplex(n, frozenset(map(frozenset, facets)))):
+                for v in vertices:
+                    assert _outcome(delete_and_link, S, v) == _outcome(delete_and_link_by_faces, S, v)
+                    cases += 1
+        assert cases >= 2000
+
+    def test_shifted_complex_and_signatures_match_their_frozen_copies(self):
+        rng = random.Random(REBUILD_SEED + 1)
+        impure = shifted = 0
+        corpus = [(3, []), (3, [[]]), (3, [[0, 1]]), (3, [[2, 4]]), (3, [[True, 2]])]
+        for i in range(300):
+            n = rng.randint(3, 6)
+            gens = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 3))]
+            # a low face and the top vertex alone close to a complex that is not pure
+            corpus.append((n, [rng.sample(range(1, n), rng.randint(2, n - 1)), [n]] if i % 2 else gens))
+        for n, gens in corpus:
+            got = _outcome(shifted_complex, n, gens)
+            assert got == _outcome(shifted_complex_by_own_filter, n, gens)
+            impure += got == (ValueError, "generators produce a non-pure complex")
+            if not gens or not all(gens) or not all(1 <= v <= n for g in gens for v in g):
+                continue
+            # the order ideal of the same generators, pure or not, and a raw facet list
+            for S in (_order_ideal(n, gens), from_facets(n, _facet_list(rng, n))):
+                assert _outcome(shifted_signatures, S) == _outcome(shifted_signatures_by_faces, S)
+                shifted += is_shifted(S)
+        # non-pure closures must be refused, and many signatures read
+        assert impure >= 150 and shifted >= 300
