@@ -382,7 +382,12 @@ class SimplicialComplex:
 
 
 def from_facets(n, facets):
-    """Facet-generated complex; contained facets are discarded."""
+    """Facet-generated complex; contained facets are discarded.
+
+    This is the one maximal-face filter in the package: every derived
+    simplicial complex (a deletion, a link, a shifted closure) hands its
+    generators here.
+    """
     cleaned = []
     for f in facets:
         fs = frozenset(_exact_int(v, "vertex") for v in f)
@@ -424,28 +429,17 @@ def compile_complex(S):
     return ChainComplex.create(cells, interior)
 
 
-def simplicial_skeleton(S, k):
-    """The k-skeleton of a simplicial complex."""
-    faces = [f for layer in S.faces_by_dim()[: k + 1] for f in layer]
-    return from_facets(S.n, faces)
-
-
 def delete_and_link(S, v):
-    """Deletion (faces avoiding v) and link (faces whose union with v is a face)."""
+    """Deletion (faces avoiding v) and link (faces whose union with v is a face).
+
+    Both are generated by F - v: over every facet F for the deletion, over the
+    facets that contain v for the link; ``from_facets`` keeps the maximal ones.
+    """
     v = _exact_int(v, "vertex")
-    deletion = []
-    link = []
-    for layer in S.faces_by_dim():
-        for face in layer:
-            fs = set(face)
-            if v in fs:
-                rest = fs - {v}
-                if rest:
-                    link.append(rest)
-            else:
-                deletion.append(fs)
+    deletion = [f - {v} for f in S.facets if f - {v}]
     if not deletion:
         raise ValueError(f"deleting vertex {v} leaves an empty complex")
+    link = [f - {v} for f in S.facets if v in f and len(f) > 1]
     if not link:
         raise ValueError(f"vertex {v} has an empty link")
     return from_facets(S.n, deletion), from_facets(S.n, link)

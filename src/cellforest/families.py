@@ -259,7 +259,8 @@ def shifted_complex(n, generators):
     """Pure complex generated as a componentwise order ideal.
 
     Faces are closed under taking subsets and under decrementing a single
-    vertex; the result must be pure (all maximal faces the same size).
+    vertex; ``from_facets`` keeps the maximal faces of that closure, and the
+    result must be pure (all of them the same size).
     """
     gens = [tuple(sorted({_exact_int(v, "vertex") for v in g})) for g in generators]
     if not gens:
@@ -282,11 +283,9 @@ def shifted_complex(n, generators):
             if nxt and nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    maximal = [f for f in seen if not any(set(f) < set(g) for g in seen)]
-    top = max(len(f) for f in maximal)
-    if any(len(f) != top for f in maximal):
+    S = from_facets(n, seen)
+    if len({len(f) for f in S.facets}) > 1:
         raise ValueError("generators produce a non-pure complex")
-    S = from_facets(n, [set(f) for f in maximal])
     if not is_shifted(S):
         raise AssertionError("order ideal closure failed to produce a shifted complex")
     return S
@@ -297,25 +296,22 @@ def shifted_signatures(S):
 
     A critical pair bumps one vertex of a top-size face of the deletion by one
     and lands outside the complex; its signature is (initial segment before
-    the bump, the interval 1..bumped value).
+    the bump, the interval 1..bumped value).  A face of the largest size is
+    always a facet, so the top-size faces of the deletion are the facets of
+    size dim + 1 that avoid vertex 1, and a bumped face (which avoids 1 too)
+    lies in the deletion exactly when it is one of them.
     """
     if not is_shifted(S):
         raise ValueError("signatures are defined for shifted complexes")
     d = S.dim
-    deletion_faces = {
-        f for layer in S.faces_by_dim() for f in layer if 1 not in f
-    }
-    tops = sorted(f for f in deletion_faces if len(f) == d + 1)
+    tops = {f for f in S.facets if len(f) == d + 1 and 1 not in f}
     sigs = []
-    for face in tops:
-        fs = set(face)
+    for fs in tops:
+        face = sorted(fs)
         for j, a in enumerate(face):
-            if (a + 1) in fs:
+            if (a + 1) in fs or fs - {a} | {a + 1} in tops:
                 continue
-            bumped = tuple(sorted(fs - {a} | {a + 1}))
-            if bumped in deletion_faces:
-                continue
-            sigs.append((face[:j], tuple(range(1, a + 1))))
+            sigs.append((tuple(face[:j]), tuple(range(1, a + 1))))
     return tuple(sorted(sigs))
 
 
