@@ -150,10 +150,6 @@ def serialize_complex(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def reserialize(text):
-    return serialize_complex(parse_any(text))
-
-
 def parse_weights(text):
     """Parse 'dim index value' weight lines into a WeightAssignment."""
     values = {}

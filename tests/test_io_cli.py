@@ -53,9 +53,9 @@ class TestComplexFormat:
             cfio.serialize_complex(named_simplicial("moebius")),
             cfio.serialize_complex(named_complex("rp2_cell")),
         ):
-            once = cfio.reserialize(text)
+            once = cfio.serialize_complex(cfio.parse_any(text))
             assert once == text
-            assert cfio.reserialize(once) == once
+            assert cfio.serialize_complex(cfio.parse_any(once)) == once
 
     def test_bad_header(self):
         with pytest.raises(cfio.FormatError):
