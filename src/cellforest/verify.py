@@ -210,11 +210,8 @@ def suite_duality(cap=None, seed=DEFAULT_SEED):
             _record(rows, "duality", f"cube-skeleton-{n}", f"dual-tau{k}", got, want)
     # weighted instance with reciprocal weights on the dual
     Q3 = skeleton(hypercube_complex(3), 2)
-    values = {
-        (k, i): Fraction(rng.randint(1, 20), rng.randint(1, 20))
-        for k in range(3)
-        for i in range(Q3.n_cells(k))
-    }
+    keys = [(k, i) for k in range(3) for i in range(Q3.n_cells(k))]
+    values = dict(zip(keys, sample_fractions(rng, len(keys))))
     w = WeightAssignment(values)
     wstar = w.reciprocal_for_dual(Q3)
     Y = dual_complex(Q3)

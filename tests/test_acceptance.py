@@ -64,6 +64,7 @@ from cellforest.oracle import (
     tau_bruteforce,
     tau_weighted_bruteforce,
 )
+from cellforest.verify import sample_fractions
 
 SEED = 987123
 
@@ -75,10 +76,6 @@ def criterion(number, description, budget_seconds):
     elapsed = time.perf_counter() - start
     assert elapsed < budget_seconds, f"criterion {number} exceeded {budget_seconds}s ({elapsed:.1f}s)"
     print(f"[acceptance] criterion {number:2d} ({description}): PASS in {elapsed:.2f}s")
-
-
-def rational_samples(rng, count):
-    return [Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(count)]
 
 
 def test_criterion_01_cayley_and_bipartite():
@@ -204,7 +201,7 @@ def test_criterion_07_weighted_identities():
             for n in (4, 5):
                 S = simplex_skeleton(n, 1)
                 X = S.to_chain_complex()
-                v = rational_samples(rng, n)
+                v = sample_fractions(rng, n)
                 w = WeightAssignment.from_vertex_weights(S, v)
                 want = Fraction(1)
                 for vi in v:
@@ -215,7 +212,7 @@ def test_criterion_07_weighted_identities():
             for n, d in ((4, 2), (5, 2)):
                 S = simplex_skeleton(n, d)
                 X = S.to_chain_complex()
-                v = rational_samples(rng, n)
+                v = sample_fractions(rng, n)
                 w = WeightAssignment.from_vertex_weights(S, v)
                 want = simplex_tree_count_weighted(n, d, v)
                 assert tau_weighted_bruteforce(X, d, w) == want
@@ -229,15 +226,15 @@ def test_criterion_07_weighted_identities():
             for parts in ((2, 1), (2, 2), (3, 2, 1)):
                 G = ferrers_graph(parts)
                 XG = G.to_chain_complex()
-                x = rational_samples(rng, len(parts))
-                y = rational_samples(rng, parts[0])
+                x = sample_fractions(rng, len(parts))
+                y = sample_fractions(rng, parts[0])
                 wG = ferrers_vertex_weighting(G, parts, x, y)
                 assert ferrers_tree_count_weighted(parts, x, y) == tau_weighted_bruteforce(XG, 1, wG)
             for n_cube in (2, 3):
                 Q = hypercube_complex(n_cube)
-                q = rational_samples(rng, n_cube)
-                x = rational_samples(rng, n_cube)
-                y = rational_samples(rng, n_cube)
+                q = sample_fractions(rng, n_cube)
+                x = sample_fractions(rng, n_cube)
+                y = sample_fractions(rng, n_cube)
                 wQ = hypercube_weights(n_cube, q, x, y)
                 for k in range(1, n_cube + 1):
                     assert hypercube_tree_count_weighted(k, n_cube, q, x, y) == tau_weighted_bruteforce(Q, k, wQ)
@@ -245,7 +242,7 @@ def test_criterion_07_weighted_identities():
                 n = max(v for g in gens for v in g)
                 S = shifted_complex(n, gens)
                 X = S.to_chain_complex()
-                v = rational_samples(rng, n)
+                v = sample_fractions(rng, n)
                 w = WeightAssignment.from_vertex_weights(S, v)
                 assert shifted_tree_count_weighted(S, v) == tau_weighted_bruteforce(X, S.dim, w)
 

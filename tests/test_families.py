@@ -39,12 +39,9 @@ from cellforest.families import (
 from cellforest.homology import betti, homology, is_z_apc
 from cellforest.matrix_forest import graph_matrix_tree, tau_alternating
 from cellforest.oracle import tau_bruteforce, tau_weighted_bruteforce
+from cellforest.verify import sample_fractions
 
 RNG_SEED = 424242
-
-
-def rational_samples(rng, count):
-    return [Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(count)]
 
 
 class TestBinomialConvention:
@@ -160,7 +157,7 @@ class TestHypercube:
     def test_weighted_vs_oracle_q2(self):
         rng = random.Random(RNG_SEED + 1)
         Q2 = hypercube_complex(2)
-        q, x, y = (rational_samples(rng, 2) for _ in range(3))
+        q, x, y = (sample_fractions(rng, 2) for _ in range(3))
         w = hypercube_weights(2, q, x, y)
         for k in (1, 2):
             assert hypercube_tree_count_weighted(k, 2, q, x, y) == tau_weighted_bruteforce(Q2, k, w)
@@ -188,7 +185,7 @@ class TestShifted:
         rng = random.Random(RNG_SEED + 2)
         S = shifted_complex(5, [(3, 5)])
         X = S.to_chain_complex()
-        v = rational_samples(rng, 5)
+        v = sample_fractions(rng, 5)
         got = shifted_tree_count_weighted(S, v)
         assert got == tau_weighted_bruteforce(X, 1, WeightAssignment.from_vertex_weights(S, v))
         assert shifted_tree_count_weighted(S, [1] * 5) == graph_matrix_tree(X).value
@@ -197,7 +194,7 @@ class TestShifted:
         rng = random.Random(RNG_SEED + 3)
         S = shifted_complex(5, [(2, 3, 5)])
         X = S.to_chain_complex()
-        v = rational_samples(rng, 5)
+        v = sample_fractions(rng, 5)
         w = WeightAssignment.from_vertex_weights(S, v)
         assert shifted_tree_count_weighted(S, v) == tau_weighted_bruteforce(X, 2, w)
 
@@ -231,8 +228,8 @@ class TestFerrers:
         for parts in ((2, 1), (3, 1, 1), (3, 2, 2)):
             G = ferrers_graph(parts)
             X = G.to_chain_complex()
-            x = rational_samples(rng, len(parts))
-            y = rational_samples(rng, parts[0])
+            x = sample_fractions(rng, len(parts))
+            y = sample_fractions(rng, parts[0])
             w = ferrers_vertex_weighting(G, parts, x, y)
             assert ferrers_tree_count_weighted(parts, x, y) == tau_weighted_bruteforce(X, 1, w)
 
