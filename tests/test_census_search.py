@@ -253,10 +253,13 @@ def counting_eliminate(monkeypatch, module, interior=False):
 
 
 def test_search_matches_frozen_unpruned_search(monkeypatch):
-    pruned, unpruned = counting_eliminate(monkeypatch, oracle), counting_eliminate(monkeypatch, frozen)
+    # the oracle eliminates only where need > 2, so the frozen search's calls
+    # two short of a leaf would make every search look pruned
+    pruned = counting_eliminate(monkeypatch, oracle)
+    unpruned = counting_eliminate(monkeypatch, frozen, interior=True)
     rng = random.Random(SEED)
     fewer = 0
-    for _ in range(400):
+    for _ in range(800):
         cols = random_sparse_columns(rng)
         r = len(_greedy_path(cols)[0])
         for size in range(r + 2):
