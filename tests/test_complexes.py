@@ -241,7 +241,7 @@ class TestDeleteAndLink:
         assert all(1 not in f for f in deletion.facets)
 
     def test_reads_the_facets_alone(self, monkeypatch):
-        # two 13-vertex facets have 16,382 faces between them; none is listed
+        # two 13-vertex facets have 12,287 faces between them; none is listed
         def refuse(self):
             raise AssertionError("delete_and_link expanded the faces")
 
@@ -327,20 +327,19 @@ class TestRebuildsFromFacets:
         assert cases >= 2000
 
     def test_shifted_complex_and_signatures_match_their_frozen_copies(self):
+        for gens in ([], [[]], [[0, 1]], [[2, 4]], [[True, 2]]):
+            assert _outcome(shifted_complex, 3, gens) == _outcome(shifted_complex_by_own_filter, 3, gens)
         rng = random.Random(REBUILD_SEED + 1)
         impure = shifted = 0
-        corpus = [(3, []), (3, [[]]), (3, [[0, 1]]), (3, [[2, 4]]), (3, [[True, 2]])]
         for i in range(300):
             n = rng.randint(3, 6)
             gens = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 3))]
-            # a low face and the top vertex alone close to a complex that is not pure
-            corpus.append((n, [rng.sample(range(1, n), rng.randint(2, n - 1)), [n]] if i % 2 else gens))
-        for n, gens in corpus:
+            if i % 2:
+                # a low face and the top vertex alone close to a complex that is not pure
+                gens = [rng.sample(range(1, n), rng.randint(2, n - 1)), [n]]
             got = _outcome(shifted_complex, n, gens)
             assert got == _outcome(shifted_complex_by_own_filter, n, gens)
             impure += got == (ValueError, "generators produce a non-pure complex")
-            if not gens or not all(gens) or not all(1 <= v <= n for g in gens for v in g):
-                continue
             # the order ideal of the same generators, pure or not, and a raw facet list
             for S in (_order_ideal(n, gens), from_facets(n, _facet_list(rng, n))):
                 assert _outcome(shifted_signatures, S) == _outcome(shifted_signatures_by_faces, S)
