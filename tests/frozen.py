@@ -9,12 +9,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from cellforest.complexes import (
+    SimplicialComplex,
     _exact_int,
     boundary_matrix,
-    from_facets,
-    is_shifted,
     laplacian,
     split_cells,
     weighted_laplacian,
@@ -36,7 +36,6 @@ from cellforest.linalg import (
     _canon as _canon_entry,
     _canon as _exactify,
     _greedy_path,
-    _hessenberg_char_poly_mod,
     _smith,
     _sparse_columns,
     _sparse_rows,
@@ -150,6 +149,56 @@ def _prime(i):
             c -= 1
         _PRIMES.append(c)
     return _PRIMES[i]
+
+
+def _hessenberg_char_poly_mod(N, p):
+    """``linalg._hessenberg_char_poly_mod``: ascending coefficients of
+    det(z*I - N) mod the prime p, by similarity reduction of N mod p to upper
+    Hessenberg form H and the recurrence
+    p_m = (z - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}.
+    """
+    n = len(N)
+    H = [[x % p for x in row] for row in N]
+    for m in range(1, n - 1):
+        col = m - 1
+        piv = next((i for i in range(m, n) if H[i][col]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[m], H[piv] = H[piv], H[m]
+            for row in H:
+                row[m], row[piv] = row[piv], row[m]
+        Hm = H[m]
+        inv = pow(Hm[col], -1, p)
+        tail = Hm[col:]
+        us = [0] * (n - m - 1)
+        for i in range(m + 1, n):
+            Hi = H[i]
+            if Hi[col]:
+                u = Hi[col] * inv % p
+                us[i - m - 1] = u
+                Hi[col:] = [(a - u * b) % p for a, b in zip(Hi[col:], tail)]
+        # the column operations commute, so they are applied together
+        if any(us):
+            for row in H:
+                row[m] = (row[m] + sum(map(mul, us, row[m + 1 :]))) % p
+    polys = [[1]]
+    for m in range(1, n + 1):
+        prev = polys[-1]
+        h = H[m - 1][m - 1]
+        acc = [0] + prev
+        for j in range(m):
+            acc[j] -= h * prev[j]
+        t = 1
+        for i in range(m - 1, 0, -1):
+            t = t * H[i][i - 1] % p
+            if not t:
+                break
+            c = H[i - 1][m - 1] * t % p
+            if c:
+                acc[:i] = [a - c * b for a, b in zip(acc, polys[i - 1])]
+        polys.append([x % p for x in acc])
+    return polys[n]
 
 
 def char_poly_common_denominator(M):
@@ -1250,6 +1299,43 @@ def tau_algebraic_weighted_by_recursion(X, weights):
     )
 
 
+def from_facets_by_pairs(n, facets):
+    """``complexes.from_facets`` testing every facet against every other."""
+    cleaned = []
+    for f in facets:
+        fs = frozenset(_exact_int(v, "vertex") for v in f)
+        if not fs:
+            raise ValueError("facets must be nonempty")
+        for v in fs:
+            if not 1 <= v <= n:
+                raise ValueError(f"vertex {v} out of range 1..{n}")
+        cleaned.append(fs)
+    if not cleaned:
+        raise ValueError("at least one facet is required")
+    maximal = [f for f in cleaned if not any(f < g for g in cleaned)]
+    return SimplicialComplex(n, frozenset(maximal))
+
+
+def is_shifted_by_faces(S, relabel=False):
+    """``complexes.is_shifted`` through every face of ``S``."""
+    layers = S.faces_by_dim()
+    face_sets = {f for layer in layers for f in layer}
+    if relabel:
+        support = sorted({v for f in face_sets for v in f})
+        prev = {v: support[i - 1] for i, v in enumerate(support) if i > 0}
+    else:
+        prev = {v: v - 1 for layer in layers for f in layer for v in f if v > 1}
+    for face in face_sets:
+        fs = set(face)
+        for a in face:
+            p = prev.get(a)
+            if p is not None and p not in fs:
+                lowered = tuple(sorted(fs - {a} | {p}))
+                if lowered not in face_sets:
+                    return False
+    return True
+
+
 def delete_and_link_by_faces(S, v):
     """``complexes.delete_and_link`` through every face of ``S``."""
     v = _exact_int(v, "vertex")
@@ -1268,7 +1354,7 @@ def delete_and_link_by_faces(S, v):
         raise ValueError(f"deleting vertex {v} leaves an empty complex")
     if not link:
         raise ValueError(f"vertex {v} has an empty link")
-    return from_facets(S.n, deletion), from_facets(S.n, link)
+    return from_facets_by_pairs(S.n, deletion), from_facets_by_pairs(S.n, link)
 
 
 def shifted_complex_by_own_filter(n, generators):
@@ -1298,15 +1384,15 @@ def shifted_complex_by_own_filter(n, generators):
     top = max(len(f) for f in maximal)
     if any(len(f) != top for f in maximal):
         raise ValueError("generators produce a non-pure complex")
-    S = from_facets(n, [set(f) for f in maximal])
-    if not is_shifted(S):
+    S = from_facets_by_pairs(n, [set(f) for f in maximal])
+    if not is_shifted_by_faces(S):
         raise AssertionError("order ideal closure failed to produce a shifted complex")
     return S
 
 
 def shifted_signatures_by_faces(S):
     """``families.shifted_signatures`` through every face of ``S``."""
-    if not is_shifted(S):
+    if not is_shifted_by_faces(S):
         raise ValueError("signatures are defined for shifted complexes")
     d = S.dim
     deletion_faces = {
