@@ -60,6 +60,8 @@ GOLDENS = (
     # critical groups and cut/flow discriminant groups at the elimination workload's sizes
     Golden("critical_sizes.txt",
            [(gen, "critical {complex}") for gen in ("colorful 3 3 3 3", "hypercube-skeleton 5 3")]),
+    # the order ideal of one generator: 3,432 facets on 14 vertices, 9,907 faces below them
+    Golden("shifted_8_14.sha256", [(None, "gen shifted 8,9,10,11,12,13,14 --out {output}")], timeout=10),
 )
 
 
