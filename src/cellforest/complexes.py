@@ -386,7 +386,8 @@ def from_facets(n, facets):
 
     This is the one maximal-face filter in the package: every derived
     simplicial complex (a deletion, a link, a shifted closure) hands its
-    generators here.
+    generators here.  No facet contains one of the largest size, so only the
+    smaller ones are scanned, and a pure list needs no scan at all.
     """
     cleaned = []
     for f in facets:
@@ -399,7 +400,8 @@ def from_facets(n, facets):
         cleaned.append(fs)
     if not cleaned:
         raise ValueError("at least one facet is required")
-    maximal = [f for f in cleaned if not any(f < g for g in cleaned)]
+    top = max(map(len, cleaned))
+    maximal = [f for f in cleaned if len(f) == top or not any(f < g for g in cleaned)]
     return SimplicialComplex(n, frozenset(maximal))
 
 
@@ -448,24 +450,24 @@ def delete_and_link(S, v):
 def is_shifted(S, relabel=False):
     """Whether the faces form an order ideal in the componentwise order.
 
-    Complexes are subset-closed by construction, so it suffices to check
-    closure under decrementing a single vertex.  With ``relabel`` the check
-    runs against the induced order on the vertices actually present (so a
-    deletion of vertex 1 is judged on its own vertex set).
+    Complexes are subset-closed by construction, so it suffices that a face
+    stays a face when one vertex a is lowered to its predecessor p (not in the
+    face), and the facets alone decide that.  Take a face F under a facet G,
+    with a in F and p not in F.  If p is in G, then F - {a} | {p} lies under G;
+    if not, it lies under G - {a} | {p}.  So it is enough that each lowered
+    facet G - {a} | {p}, with p not in G, is a face: one of the facets, or
+    contained in one.  With ``relabel`` the check runs against the induced
+    order on the vertices actually present (so a deletion of vertex 1 is
+    judged on its own vertex set).
     """
-    layers = S.faces_by_dim()
-    face_sets = {f for layer in layers for f in layer}
-    if relabel:
-        support = sorted({v for f in face_sets for v in f})
-        prev = {v: support[i - 1] for i, v in enumerate(support) if i > 0}
-    else:
-        prev = {v: v - 1 for layer in layers for f in layer for v in f if v > 1}
-    for face in face_sets:
-        fs = set(face)
-        for a in face:
+    facets = S.facets
+    support = sorted(set().union(*facets))
+    prev = dict(zip(support[1:], support)) if relabel else {v: v - 1 for v in support if v > 1}
+    for g in facets:
+        for a in g:
             p = prev.get(a)
-            if p is not None and p not in fs:
-                lowered = tuple(sorted(fs - {a} | {p}))
-                if lowered not in face_sets:
+            if p is not None and p not in g:
+                lowered = g - {a} | {p}
+                if lowered not in facets and not any(lowered < h for h in facets):
                     return False
     return True

@@ -259,8 +259,10 @@ def shifted_complex(n, generators):
     """Pure complex generated as a componentwise order ideal.
 
     Faces are closed under taking subsets and under decrementing a single
-    vertex; ``from_facets`` keeps the maximal faces of that closure, and the
-    result must be pure (all of them the same size).
+    vertex.  Every face of that closure lies under a set of its generator's
+    size that is componentwise at most the generator, so ``from_facets`` keeps
+    the maximal ones among those sets, and the result must be pure (all of
+    them the same size).
     """
     gens = [tuple(sorted({_exact_int(v, "vertex") for v in g})) for g in generators]
     if not gens:
@@ -268,22 +270,14 @@ def shifted_complex(n, generators):
     for g in gens:
         if not g or g[0] < 1 or g[-1] > n:
             raise ValueError("generators must be nonempty subsets of 1..n")
-    seen = set(gens)
-    stack = list(gens)
-    while stack:
-        face = stack.pop()
-        fs = set(face)
-        lowered = []
-        for a in face:
-            if len(face) > 1:
-                lowered.append(tuple(x for x in face if x != a))
-            if a > 1 and (a - 1) not in fs:
-                lowered.append(tuple(sorted(fs - {a} | {a - 1})))
-        for nxt in lowered:
-            if nxt and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    S = from_facets(n, seen)
+    below = set()
+    for g in gens:
+        # the increasing tuples c with c_i <= g_i, built one coordinate at a time
+        sets = [()]
+        for b in g:
+            sets = [c + (a,) for c in sets for a in range(c[-1] + 1 if c else 1, b + 1)]
+        below.update(sets)
+    S = from_facets(n, below)
     if len({len(f) for f in S.facets}) > 1:
         raise ValueError("generators produce a non-pure complex")
     if not is_shifted(S):

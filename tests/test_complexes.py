@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,7 +30,13 @@ from cellforest.families import (
 )
 from cellforest.linalg import Matrix, rank
 
-from frozen import delete_and_link_by_faces, shifted_complex_by_own_filter, shifted_signatures_by_faces
+from frozen import (
+    delete_and_link_by_faces,
+    from_facets_by_pairs,
+    is_shifted_by_faces,
+    shifted_complex_by_own_filter,
+    shifted_signatures_by_faces,
+)
 
 
 class TestFromFacets:
@@ -267,9 +274,21 @@ class TestShifted:
             assert is_shifted(deletion, relabel=True)
             assert is_shifted(link, relabel=True)
 
+    def test_reads_the_facets_alone(self, monkeypatch):
+        # the closure of (8, ..., 14) has 3,432 facets and 9,907 faces; none is listed
+        def refuse(self):
+            raise AssertionError("a shifted complex expanded its faces")
+
+        monkeypatch.setattr(SimplicialComplex, "faces_by_dim", refuse)
+        S = shifted_complex(14, [range(8, 15)])
+        assert len(S.facets) == 3432
+        assert is_shifted(delete_and_link(S, 1)[0], relabel=True)
+        assert len(shifted_signatures(S)) == 924
+
 
 # ---------------------------------------------------------------------------
-# deletion, link and shifted closures against their frozen face expansions
+# the facet filter, deletion, link and shifted closures against their frozen
+# pairwise filter and face expansions
 # ---------------------------------------------------------------------------
 
 REBUILD_SEED = 3203
@@ -346,3 +365,45 @@ class TestRebuildsFromFacets:
                 shifted += is_shifted(S)
         # non-pure closures must be refused, and many signatures read
         assert impure >= 150 and shifted >= 300
+
+    def test_from_facets_matches_its_pairwise_filter(self):
+        for n, facets in ((2, []), (2, [[]]), (2, [[1, 3]]), (2, [[0, 1]]), (2, [[True, 2]])):
+            assert _outcome(from_facets, n, facets) == _outcome(from_facets_by_pairs, n, facets)
+        rng = random.Random(REBUILD_SEED + 2)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            # pure lists, where every facet is kept, with repeats
+            pure = [rng.sample(range(1, n + 1), rng.randint(1, n))]
+            pure += [rng.sample(range(1, n + 1), len(pure[0])) for _ in range(rng.randint(0, 5))]
+            pure += rng.choices(pure, k=rng.randint(1, 3))
+            for facets in (_facet_list(rng, n), pure):
+                assert _outcome(from_facets, n, facets) == _outcome(from_facets_by_pairs, n, facets)
+
+    def test_every_triangle_on_40_vertices_stays_a_facet(self):
+        triangles = list(combinations(range(1, 41), 3))
+        assert from_facets(40, triangles).facets == set(map(frozenset, triangles))
+
+    def test_is_shifted_matches_its_face_expansion(self):
+        rng = random.Random(REBUILD_SEED + 3)
+        complexes = [named_simplicial("rp2_six_vertex")]
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            gens = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 3))]
+            S = _order_ideal(n, gens)
+            complexes.append(S)
+            for v in rng.sample(range(1, n + 1), 2):
+                try:
+                    complexes.extend(delete_and_link(S, v))
+                except ValueError:
+                    pass
+            # a raw facet list, filtered and with its nested facets kept
+            facets = _facet_list(rng, n)
+            complexes += [from_facets(n, facets), SimplicialComplex(n, frozenset(map(frozenset, facets)))]
+        answers = Counter()
+        for S in complexes:
+            for relabel in (False, True):
+                got = is_shifted(S, relabel=relabel)
+                assert got == is_shifted_by_faces(S, relabel=relabel)
+                answers[got] += 1
+        # both answers, many times over (1,378 and 488 on this seed)
+        assert answers[True] >= 1200 and answers[False] >= 400
