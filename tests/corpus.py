@@ -181,6 +181,36 @@ def random_sparse_columns(rng):
     return cols
 
 
+def random_degenerate_matrix(rng):
+    """An integer matrix of 1-6 rows and 1-7 columns, entries drawn from
+    -3..3 with about half of them zero, then bent by up to three of: a zero
+    row, a zero column, a repeated column, a parallel column (a multiple of
+    another) and a column replaced by an integer combination of two others,
+    whose entries may leave -3..3 and which lowers the rank unless it
+    vanishes."""
+    m, n = rng.randint(1, 6), rng.randint(1, 7)
+    entries = (0, 0, 0, 0, 0, 0, -3, -2, -1, 1, 2, 3)
+    cols = [[rng.choice(entries) for _ in range(m)] for _ in range(n)]
+    for kind in rng.sample(("zero row", "zero column", "repeat", "parallel", "combination"), rng.randint(0, 3)):
+        j = rng.randrange(n)
+        if kind == "zero row":
+            i = rng.randrange(m)
+            for col in cols:
+                col[i] = 0
+        elif kind == "zero column":
+            cols[j] = [0] * m
+        elif kind == "repeat":
+            cols[j] = list(rng.choice(cols))
+        elif kind == "parallel":
+            c = rng.choice((-2, -1, 2, 3))
+            cols[j] = [c * x for x in rng.choice(cols)]
+        else:
+            x, y = rng.choice(cols), rng.choice(cols)
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            cols[j] = [a * p + b * q for p, q in zip(x, y)]
+    return Matrix.from_columns(cols, nrows=m)
+
+
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb, gcd
 from operator import mul
 
 from cellforest.complexes import (
@@ -883,6 +884,144 @@ def independent_subsets_recursive(cols, size):
     if size == 0:
         return iter([((), 1)])
     return rec((), [(j, c, 1, 1) for j, c in enumerate(cols) if c], 1, 1)
+
+
+def _reduced_pivot(w, c, v, pv):
+    """The pivot that ``linalg._eliminate`` takes in pv*w - c*v (c nonzero,
+    w's entry on the row of v's pivot pv), times the content it divides out,
+    or 0 if that column vanishes.
+
+    The entries are walked in the order ``_eliminate`` stores them, w's rows
+    first and then v's other rows, and no dict is built: the first entry +-1
+    (the content is then 1), else the first entry +-h for the content h, else
+    the last entry.
+    """
+    rest = []
+    for r, x in w.items():
+        if x := pv * x - c * v.get(r, 0):
+            if x == 1 or x == -1:
+                return x
+            rest.append(x)
+    for r, x in v.items():
+        if r not in w:
+            x *= -c
+            if x == 1 or x == -1:
+                return x
+            rest.append(x)
+    if not rest:
+        return 0
+    h = gcd(*rest)
+    for x in rest:
+        if x == h or x == -h:
+            return x
+    return rest[-1]
+
+
+def independent_subsets_by_stack(cols, size):
+    """``oracle._independent_subsets`` as the rooted search last called it,
+    on this module's own ``_eliminate``.
+
+    Independent ``size``-subsets of sparse {row: value} integer columns, in
+    lexicographic order, each as (subset, |det|) for one nonzero maximal minor.
+
+    A node carries every later column reduced against the pivots of its
+    prefix by ``linalg._eliminate``: v = (a/g)*column + (pivot columns), a the
+    product of the pivots.  A column reduced to zero drops out with all its
+    extensions.  The chosen columns are triangular on their pivot rows P, so
+    det of the subset on P is the product of pivot*g/a; unit pivots come
+    first, to keep that minor at 1.  The leftmost path is ``linalg._greedy_path``.
+
+    One generator walks an explicit stack of frames [prefix, candidates, num,
+    den, next position], so the depth of the search is not bound by Python's
+    recursion limit.  A node two short of a leaf pushes no frame and calls
+    no ``_eliminate``: for each later candidate w it reads the pivot x that
+    ``_eliminate`` would give pv*w - c*v (c = w[pr]) off those entries, times
+    the content, with ``_reduced_pivot``; w's own pivot where c = 0, and no
+    leaf where the column vanishes.  The leaf's minor is then
+    num*pv*g * x*g_w / (den*a * a_w*pv), without the last pv where c = 0.
+
+    A node that needs ``need`` more columns from its candidates c_0, c_1, ...
+    has a leaf below its child on c_p exactly when rank(c_p, c_{p+1}, ...) is
+    at least ``need``: c_p is nonzero, so it extends to a basis of their span.
+    That rank only falls as p grows, so the node stops at its first child
+    without a leaf.  A child with fewer candidates than it needs is dead
+    before it is pushed; any other dead child finds out along its own chain of
+    first children, and a node that stops at its first child is dead too.
+    """
+    if size == 0:
+        yield (), 1
+        return
+    cands = [(j, c, 1, 1) for j, c in enumerate(cols) if c]
+    if size == 1:  # the root is the leaf level: each minor is the pivot
+        for j, v, _, _ in cands:
+            for pr, pv in v.items():
+                if pv == 1 or pv == -1:
+                    break
+            yield (j,), abs(pv)
+        return
+    stack = [[(), cands, 1, 1, 0]]
+    while stack:
+        frame = stack[-1]
+        prefix, cands, num, den, pos = frame
+        need = size - len(prefix)
+        if len(cands) - pos >= need:
+            j, v, a, g = cands[pos]
+            frame[4] = pos + 1
+            for pr, pv in v.items():
+                if pv == 1 or pv == -1:
+                    break
+            prefix, num, den = prefix + (j,), num * pv * g, den * a
+            if need > 2:
+                rest = _eliminate(cands[pos + 1 :], pr, v, pv)
+                if len(rest) >= need - 1:
+                    stack.append([prefix, rest, num, den, 0])
+                    continue
+            else:
+                found = False
+                for j, w, a, g in cands[pos + 1 :]:
+                    c = w.get(pr)
+                    if not c:
+                        for x in w.values():
+                            if x == 1 or x == -1:
+                                break
+                    elif x := _reduced_pivot(w, c, v, pv):
+                        a *= pv
+                    else:
+                        continue
+                    found = True
+                    yield prefix + (j,), abs(num * x * g // (den * a))
+                if found:
+                    continue
+        # this frame stops, dead unless a candidate before ``pos`` had a leaf;
+        # a dead child stops its parent in turn
+        found = pos > 0
+        stack.pop()
+        while not found and stack:
+            found = stack.pop()[4] > 1
+
+
+def rooted_pairs_by_row_search(b, cap, what):
+    """``oracle._rooted_pairs``: for each independent column set F, a new
+    ``independent_subsets_by_stack`` search over the rows of b[:, F].
+
+    (F, S, |det b[S, F]|) over the nonsingular square submatrices of b,
+    sizes ascending, then lexicographic in (F, S).
+
+    No nonsingular submatrix is larger than r = rank b, so the sizes run over
+    0..r.  Before the first pair, the cap is checked against
+    sum_{s<=r} C(nd, s) C(nd1, s), the number of (F, S) pairs of those sizes
+    on b's nd columns and nd1 rows: every pair the searches can visit.
+    """
+    r = rank(b)
+    total = sum(comb(b.ncols, s) * comb(b.nrows, s) for s in range(r + 1))
+    _check_cap(total, cap, what)
+    cols, rows = _sparse_columns(b), _sparse_rows(b)
+    for s in range(r + 1):
+        for facets, _ in independent_subsets_by_stack(cols, s):
+            keep = set(facets)
+            sub = [{c: v for c, v in row.items() if c in keep} for row in rows]
+            for faces, minor in independent_subsets_by_stack(sub, s):
+                yield facets, faces, minor
 
 
 def cobases_by_combinations(X, k, cap=None):

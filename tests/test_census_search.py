@@ -38,6 +38,7 @@ from corpus import (
     conjugated_smith_complexes,
     middle_homology_complexes,
     random_flag_complexes,
+    random_degenerate_matrix,
     random_formal_duals,
     random_sparse_columns,
     random_weights,
@@ -49,6 +50,7 @@ from frozen import (
     independent_subsets_recursive,
     independent_subsets_unpruned,
     rooted_forests_by_combinations,
+    rooted_pairs_by_row_search,
     rooted_sums_by_row_sets,
 )
 
@@ -184,6 +186,39 @@ def test_rooted_sums_match_frozen_loop():
         assert all(type(c) is int for c in got)
         compared += 1
     assert compared >= 15
+
+
+def rooted_matrices():
+    """The top boundaries on which the rooted search is checked pair by pair:
+    seeded degenerate integer matrices, and every ``CORPUS`` top boundary
+    whose (F, S) pair count stays within the frozen cap (formal duals,
+    matrix-form input and the torsion of ``rp2_cell`` among them)."""
+    rng = random.Random(SEED)
+    out = [random_degenerate_matrix(rng) for _ in range(300)]
+    for X in CORPUS:
+        b = X.boundaries[X.dim]
+        total = sum(comb(b.ncols, s) * comb(b.nrows, s) for s in range(linalg.rank(b) + 1))
+        if total <= FROZEN_CAP["rooted"]:
+            out.append(b)
+    return out
+
+
+def test_rooted_pairs_match_the_frozen_row_search():
+    # every pair's minor against ``linalg.det``, a route the rooted search
+    # does not share; on rp2_six_vertex (321,380 pairs, minors up to 2) the
+    # whole list against the frozen search and a seeded sample against det
+    rp2 = named_complex("rp2_six_vertex").boundaries[2]
+    checked = compared = 0
+    for b in rooted_matrices() + [rp2]:
+        want = list(rooted_pairs_by_row_search(b, None, "rooted pairs"))
+        assert list(oracle._rooted_pairs(b, None, "rooted pairs")) == want
+        compared += len(want)
+        if b is rp2:
+            want = random.Random(SEED).sample(want, 2_000)
+        for facets, faces, minor in want:
+            assert minor == abs(linalg.det(b.submatrix(faces, facets)))
+        checked += len(want)
+    assert compared >= 340_000 and checked >= 20_000
 
 
 def test_betti_and_torsion_match_homology():
