@@ -5,19 +5,25 @@ independent column subsets, torsion comes from a Smith-form pass over the
 selected columns, rooted forests pair independent column sets with row sets
 carrying a nonsingular square submatrix.  These routines are the oracle that
 every determinant and eigenvalue formula is tested against, so they stay
-literal and visit every forest, cobase and rooted forest.  A depth-first
-search finds them: it branches over the sparse elimination step of
-``linalg`` and brings one nonzero maximal minor to each leaf.  One generator
-runs it on an explicit stack of frames, so its depth is not bound by the
-recursion limit; a node two short of a leaf pushes no frame and makes no
-elimination: it reads each leaf's pivot, and with it the minor, straight off
-the later column reduced against its own pivot, which it never stores.  The
-search leaves a node at its first child without a leaf, because no later
-sibling has one either: the candidates from position p on span a rank that
-only falls as p grows.  A child with fewer candidates than it needs is known
-dead before it is pushed.  Census leaves read their torsion off their own
-minor.  The census streams: ``forest_search`` checks the cap and returns the
-lazy search, which every count and sum walks once; only ``enumerate_forests``
+literal and visit every forest, cobase and rooted forest.
+
+Rooted forests come from one depth-first search over the column sets
+(``_rooted_minors``), which takes each set's nonzero maximal minors from its
+parent's by cofactor expansion along the last column.  It makes no
+elimination, so the rooted oracle shares no step with the ``det`` and
+``rank`` routes it judges.  The elimination search now serves only forests
+and cobases.  It branches over the sparse elimination step of ``linalg`` and
+brings one nonzero maximal minor to each leaf.  One generator runs it on an
+explicit stack of frames, so its depth is not bound by the recursion limit;
+a node two short of a leaf pushes no frame and makes no elimination: it
+reads each leaf's pivot, and with it the minor, straight off the later
+column reduced against its own pivot, which it never stores.  The search
+leaves a node at its first child without a leaf, because no later sibling
+has one either: the candidates from position p on span a rank that only
+falls as p grows.  A child with fewer candidates than it needs is known dead
+before it is pushed.  Census leaves read their torsion off their own minor.
+The census streams: ``forest_search`` checks the cap and returns the lazy
+search, which every count and sum walks once; only ``enumerate_forests``
 keeps the forests.
 Where beta_k = 0 the complements of the cobases at level k are the maximal
 k-forests (the row matroid of d_{k+1} is then dual to the column matroid of
@@ -27,12 +33,13 @@ roots take their torsion off d_k's columns on the root, and kernel
 defects project one kernel basis and one saturated-image basis per level
 onto each cobase (the correspondence theorem, ``_kernel_defect``).
 
-Enumeration order is lexicographic in cell indices throughout, so censuses
-and reports are deterministic.
+Enumeration order is lexicographic in cell indices throughout, rooted
+forests by size first, so censuses and reports are deterministic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -289,38 +296,73 @@ class RootedForest:
         return split_cells(X, X.dim - 1, self.nonroot_faces)[1]
 
 
-def _rooted_pairs(b, cap, what):
-    """(F, S, |det b[S, F]|) over the nonsingular square submatrices of b,
-    lexicographic in (F, S): for each independent column set F, an inner
-    search over the rows of b[:, F].
+def _rooted_minors(b, cap, what):
+    """Each independent column set F of b, lexicographic, with its nonzero
+    maximal minors {S: det b[S, F]} over the sorted row sets S.
 
-    No nonsingular submatrix is larger than r = rank b, so the sizes run over
-    0..r.  Before the first pair, the cap is checked against
-    sum_{s<=r} C(nd, s) C(nd1, s), the number of (F, S) pairs of those sizes
-    on b's nd columns and nd1 rows: every pair the searches can visit.
+    One depth-first search over the column sets.  The root F = () has the one
+    minor det b[(), ()] = 1, and a child F + (j,), j past F's last column,
+    takes its minors by cofactor expansion along that last column:
+    det b[T, F + (j,)] = sum over i in T with b[i, j] != 0 of
+    (-1)^(pos_T(i) + |F|) * b[i, j] * det b[T - i, F], so only the parent's
+    nonzero minors contribute.  A child whose minors all vanish has dependent
+    columns, as has every extension of it, and is not pushed; no node is
+    extended past |F| = r = rank b.  So the search visits every nonsingular
+    square submatrix and makes no elimination: each minor comes from the
+    determinant's own definition, apart from the ``det`` and ``rank`` routes
+    the oracle judges.
+
+    Before the first node, the cap is checked against
+    sum_{s<=r} C(nd, s) C(nd1, s), the (F, S) pairs of those sizes on b's nd
+    columns and nd1 rows.  The stack holds the minors along one root-to-node
+    path, each node with the next column it tries: distinct (F, S) pairs,
+    which that count bounds as well.
     """
     r = rank(b)
     total = sum(comb(b.ncols, s) * comb(b.nrows, s) for s in range(r + 1))
     _check_cap(total, cap, what)
-    cols, rows = _sparse_columns(b), _sparse_rows(b)
-    for s in range(r + 1):
-        for facets, _ in _independent_subsets(cols, s):
-            keep = set(facets)
-            sub = [{c: v for c, v in row.items() if c in keep} for row in rows]
-            for faces, minor in _independent_subsets(sub, s):
-                yield facets, faces, minor
+    cols = _sparse_columns(b)
+    yield (), {(): 1}
+    stack = [[(), {(): 1}, 0]] if r else []
+    while stack:
+        frame = stack[-1]
+        facets, minors, j = frame
+        if j == len(cols):
+            stack.pop()
+            continue
+        frame[2] = j + 1
+        odd = len(facets) & 1
+        child = {}
+        for faces, d in minors.items():
+            for i, x in cols[j].items():
+                p = bisect_left(faces, i)
+                if p < len(faces) and faces[p] == i:
+                    continue
+                t = faces[:p] + (i,) + faces[p:]
+                child[t] = child.get(t, 0) + (-x * d if (p ^ odd) & 1 else x * d)
+        child = {t: d for t, d in child.items() if d}
+        if child:
+            facets += (j,)
+            yield facets, child
+            if len(facets) < r:
+                stack.append([facets, child, j + 1])
 
 
 def enumerate_rooted_forests(X, cap=None):
-    """All rooted spanning forests (of every size), lexicographic in (F, S).
+    """All rooted spanning forests: sizes ascending, then lexicographic in
+    the facets F, then in the nonroot faces S.
 
-    ``CapExceeded`` before the search when sum_{s<=rank} C(nd, s) C(nd1, s),
-    the (F, S) pairs it can visit, exceeds the cap.
+    ``_rooted_minors`` yields the facet sets depth first, each size's in
+    lexicographic order, so they are bucketed by size.  ``CapExceeded``
+    before the search when sum_{s<=rank} C(nd, s) C(nd1, s), the (F, S)
+    pairs it can visit, exceeds the cap.
     """
     if X.dim < 1:
         raise ValueError("rooted forests need dimension at least 1")
-    pairs = _rooted_pairs(boundary_matrix(X, X.dim), cap, "rooted forest enumeration")
-    return tuple(RootedForest(facets, faces) for facets, faces, _ in pairs)
+    levels = {}
+    for facets, minors in _rooted_minors(boundary_matrix(X, X.dim), cap, "rooted forest enumeration"):
+        levels.setdefault(len(facets), []).extend(RootedForest(facets, faces) for faces in sorted(minors))
+    return tuple(rf for s in sorted(levels) for rf in levels[s])
 
 
 def rooted_forest_torsion_sums(X, cap=None):
@@ -335,8 +377,8 @@ def rooted_forest_torsion_sums(X, cap=None):
     b = boundary_matrix(X, X.dim)
     nd1 = b.nrows
     c = [0] * (nd1 + 1)
-    for _, faces, minor in _rooted_pairs(b, cap, "rooted forest torsion sums"):
-        c[nd1 - len(faces)] += minor * minor
+    for facets, minors in _rooted_minors(b, cap, "rooted forest torsion sums"):
+        c[nd1 - len(facets)] += sum(d * d for d in minors.values())
     return tuple(c)
 
 

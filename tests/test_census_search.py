@@ -16,7 +16,7 @@ from cellforest.complexes import WeightAssignment, dual_complex, from_facets
 from cellforest.families import named_complex, named_simplicial, simplex_skeleton
 from cellforest.homology import betti, homology, torsion
 from cellforest.linalg import _greedy_path, _sparse_columns
-from cellforest.matrix_forest import format_exact
+from cellforest.matrix_forest import format_exact, rooted_forest_polynomial
 from cellforest.oracle import (
     CapExceeded,
     _defect_context,
@@ -203,22 +203,69 @@ def rooted_matrices():
     return out
 
 
-def test_rooted_pairs_match_the_frozen_row_search():
-    # every pair's minor against ``linalg.det``, a route the rooted search
-    # does not share; on rp2_six_vertex (321,380 pairs, minors up to 2) the
-    # whole list against the frozen search and a seeded sample against det
+def signed_rooted_pairs(b):
+    """(F, S, det b[S, F]) from ``oracle._rooted_minors``, put in the frozen
+    search's order by a stable sort on the size: sizes ascending, then F,
+    then S."""
+    nodes = oracle._rooted_minors(b, None, "rooted pairs")
+    pairs = [(facets, faces, d) for facets, minors in nodes for faces, d in sorted(minors.items())]
+    return sorted(pairs, key=lambda pair: len(pair[0]))
+
+
+def test_rooted_minors_match_the_frozen_row_search():
+    # each signed minor against ``linalg.det``, a route the rooted search does
+    # not share: a sign slip in the cofactor expansion would show in the
+    # magnitudes only a level later.  On rp2_six_vertex (321,380 pairs,
+    # minors up to 2) the whole list against the frozen search and a seeded
+    # sample against det.
     rp2 = named_complex("rp2_six_vertex").boundaries[2]
-    checked = compared = 0
+    checked = compared = negative = large = 0
     for b in rooted_matrices() + [rp2]:
+        got = signed_rooted_pairs(b)
         want = list(rooted_pairs_by_row_search(b, None, "rooted pairs"))
-        assert list(oracle._rooted_pairs(b, None, "rooted pairs")) == want
-        compared += len(want)
+        assert [(facets, faces, abs(d)) for facets, faces, d in got] == want
+        compared += len(got)
         if b is rp2:
-            want = random.Random(SEED).sample(want, 2_000)
-        for facets, faces, minor in want:
-            assert minor == abs(linalg.det(b.submatrix(faces, facets)))
-        checked += len(want)
+            got = random.Random(SEED).sample(got, 2_000)
+        for facets, faces, d in got:
+            assert d == linalg.det(b.submatrix(faces, facets))
+        checked += len(got)
+        negative += sum(d < 0 for _, _, d in got)
+        large += sum(abs(d) > 1 for _, _, d in got)
     assert compared >= 340_000 and checked >= 20_000
+    assert negative >= 10_000 and large >= 10_000
+
+
+def test_rooted_routes_make_no_elimination(monkeypatch):
+    # each minor comes from its parent's by cofactor expansion; rank b still
+    # runs through linalg's own binding, as do det and the polynomial
+    def refuse(*args):
+        raise AssertionError("a rooted route eliminated")
+
+    monkeypatch.setattr(oracle, "_eliminate", refuse)
+    for X in (named_complex("bipyramid"), simplex_skeleton(5, 2).to_chain_complex()):
+        want = rooted_forest_polynomial(X).coeffs
+        assert rooted_forest_torsion_sums(X) == want
+        b, nd1 = X.boundaries[X.dim], X.n_cells(X.dim - 1)
+        got = [0] * (nd1 + 1)
+        for rf in enumerate_rooted_forests(X):
+            got[nd1 - len(rf.nonroot_faces)] += linalg.det(b.submatrix(rf.nonroot_faces, rf.facets)) ** 2
+        assert tuple(got) == want
+
+
+def test_rooted_sums_keep_one_path_of_minors():
+    # the search's stack holds the minors along one root-to-node path: the
+    # sums read 1.08 MiB at peak.  The largest size level of rp2_six_vertex
+    # has 95,430 nonsingular pairs, and kept whole it would pass the bound.
+    X = named_complex("rp2_six_vertex")
+    linalg.rank(X.boundaries[2])  # memoized outside the trace
+    tracemalloc.start()
+    try:
+        got, (_, peak) = rooted_forest_torsion_sums(X), tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == rooted_forest_polynomial(X).coeffs
+    assert peak < 4 * 2**20
 
 
 def test_betti_and_torsion_match_homology():
