@@ -387,7 +387,10 @@ def from_facets(n, facets):
     This is the one maximal-face filter in the package: every derived
     simplicial complex (a deletion, a link, a shifted closure) hands its
     generators here.  No facet contains one of the largest size, so only the
-    smaller ones are scanned, and a pure list needs no scan at all.
+    smaller ones are scanned, and a pure list needs no scan at all.  A
+    smaller facet f is tested only against the facets through its rarest
+    vertex, as every facet that contains f passes through each of f's
+    vertices.
     """
     cleaned = []
     for f in facets:
@@ -401,7 +404,15 @@ def from_facets(n, facets):
     if not cleaned:
         raise ValueError("at least one facet is required")
     top = max(map(len, cleaned))
-    maximal = [f for f in cleaned if len(f) == top or not any(f < g for g in cleaned)]
+    maximal = [f for f in cleaned if len(f) == top]
+    if len(maximal) < len(cleaned):
+        through = {}
+        for g in cleaned:
+            for v in g:
+                through.setdefault(v, []).append(g)
+        for f in cleaned:
+            if len(f) < top and not any(f < g for g in min((through[v] for v in f), key=len)):
+                maximal.append(f)
     return SimplicialComplex(n, frozenset(maximal))
 
 

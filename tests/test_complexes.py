@@ -379,6 +379,17 @@ class TestRebuildsFromFacets:
             for facets in (_facet_list(rng, n), pure):
                 assert _outcome(from_facets, n, facets) == _outcome(from_facets_by_pairs, n, facets)
 
+    def test_smaller_facets_match_the_pairwise_filter_through_their_rarest_vertex(self):
+        # below the one tetrahedron: triangles on 1..12 and edges out to
+        # 13..40 stay facets, and the edges on 1..12 and the single vertices
+        # lie in larger facets, found through the rarest vertex of each
+        facets = list(combinations(range(1, 13), 3)) + [(i, k) for i in range(1, 13) for k in range(13, 41)]
+        facets += list(combinations(range(1, 13), 2)) + [(v,) for v in range(1, 41)] + [(30, 31, 32, 33)]
+        random.Random(REBUILD_SEED + 4).shuffle(facets)
+        got = _outcome(from_facets, 40, facets)
+        assert got == _outcome(from_facets_by_pairs, 40, facets)
+        assert len(got[1]) == 220 + 12 * 28 + 1
+
     def test_every_triangle_on_40_vertices_stays_a_facet(self):
         triangles = list(combinations(range(1, 41), 3))
         assert from_facets(40, triangles).facets == set(map(frozenset, triangles))
