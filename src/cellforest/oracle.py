@@ -309,8 +309,8 @@ def _rooted_minors(b, cap, what):
     columns, as has every extension of it, and is not pushed; no node is
     extended past |F| = r = rank b.  So the search visits every nonsingular
     square submatrix and makes no elimination: each minor comes from the
-    determinant's own definition, apart from the ``det`` and ``rank`` routes
-    the oracle judges.
+    determinant's own Laplace expansion, and only r is read off the ``rank``
+    route that the oracle judges.
 
     Before the first node, the cap is checked against
     sum_{s<=r} C(nd, s) C(nd1, s), the (F, S) pairs of those sizes on b's nd
