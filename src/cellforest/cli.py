@@ -34,7 +34,7 @@ from .matrix_forest import (
     rooted_forest_polynomial,
     tau,
 )
-from .oracle import DEFAULT_CAP, CapExceeded, _forest_sum, forest_search
+from .oracle import CapExceeded, _cap, _forest_sum, forest_search
 from .verify import DEFAULT_SEED, SUITES, render_records, run_suite
 
 EXIT_OK = 0
@@ -110,6 +110,7 @@ def _written(forests, fh, labels):
 
 
 def cmd_tau(args):
+    cap = _cap(args.cap)
     if args.census and args.method != "bruteforce":
         raise ValueError("--census needs --method bruteforce")
     X = _load(args.file)
@@ -125,7 +126,7 @@ def cmd_tau(args):
     else:
         report = tau(X, k, args.method, weights=weights, cap=args.cap)
         body = report.render() + "\n"
-    body += f"seed: {args.seed if args.seed is not None else '-'}\ncap: {args.cap if args.cap is not None else DEFAULT_CAP}\n"
+    body += f"seed: {args.seed if args.seed is not None else '-'}\ncap: {cap}\n"
     _emit(body, args.out)
     return EXIT_OK
 
@@ -177,6 +178,7 @@ def cmd_rooted_poly(args):
 
 def cmd_verify(args):
     seed = DEFAULT_SEED if args.seed is None else args.seed
+    _cap(args.cap)
     rows = run_suite(args.suite, cap=args.cap, seed=seed)
     text = render_records(rows, seed, args.cap)
     _emit(text, args.out)

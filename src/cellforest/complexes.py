@@ -107,8 +107,10 @@ def laplacian(X, k, kind="ud"):
 
     ``ud`` is d_{k+1} d_{k+1}^T (defined for -1 <= k < dim; k = -1 gives the
     1x1 augmentation Laplacian), ``du`` is d_k^T d_k (0 <= k <= dim), and
-    ``tot`` is their sum (0 <= k < dim).  ``ud`` and ``du`` are the unit-weight
-    ``_gram`` of d_{k+1} and of d_k^T, so their entries are ``int``.
+    ``tot`` is their sum (0 <= k < dim).  ``ud`` and ``du`` are the unit Grams
+    of d_{k+1} and of d_k^T (``_unit_gram``), so their entries are ``int``,
+    and each is built once per complex: every call returns the same shared
+    ``Matrix``, which no caller may change.
     """
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"unknown Laplacian kind {kind!r}")
@@ -116,16 +118,14 @@ def laplacian(X, k, kind="ud"):
     if kind == "ud":
         if not -1 <= k <= d - 1:
             raise ValueError(f"up-down Laplacian undefined at k={k} for a {d}-complex")
-        b = X.boundaries[k + 1]
-    elif kind == "du":
+        return _unit_gram(X.boundaries[k + 1])
+    if kind == "du":
         if not 0 <= k <= d:
             raise ValueError(f"down-up Laplacian undefined at k={k} for a {d}-complex")
-        b = X.boundaries[k].transpose()
-    else:
-        if not 0 <= k <= d - 1:
-            raise ValueError(f"total Laplacian undefined at k={k} for a {d}-complex")
-        return laplacian(X, k, "ud") + laplacian(X, k, "du")
-    return _gram(b)
+        return _unit_gram(X.boundaries[k], transposed=True)
+    if not 0 <= k <= d - 1:
+        raise ValueError(f"total Laplacian undefined at k={k} for a {d}-complex")
+    return laplacian(X, k, "ud") + laplacian(X, k, "du")
 
 
 def _exact_int(x, what):
@@ -251,6 +251,16 @@ def _gram(b, weights=None, scale=None):
         for s, row in zip(scale, G)
     ]
     return Matrix._from_rows(rows, b.nrows)
+
+
+def _unit_gram(b, transposed=False):
+    """b b^T, or b^T b if ``transposed``, for a stored boundary b: one
+    ``_gram`` per side, kept in ``b._grams`` and shared by every caller."""
+    if b._grams is None:
+        b._grams = [None, None]
+    if b._grams[transposed] is None:
+        b._grams[transposed] = _gram(b.transpose() if transposed else b)
+    return b._grams[transposed]
 
 
 def weighted_laplacian(X, k, w):

@@ -87,11 +87,14 @@ def _canon(x):
 class Matrix:
     """Immutable sparse matrix over exact integers / rationals: row i is the
     {column: value} dict ``_rows[i]`` of its nonzeros, in ascending column order.
-    ``greedy_column_basis``, ``rank`` and ``invariant_factors`` memoize their
-    results in ``_basis``, ``_rank`` and ``_factors``, which ``==`` and
-    ``hash`` ignore."""
+    ``greedy_column_basis``, ``rank``, ``invariant_factors`` and ``char_poly``
+    memoize their results in ``_basis``, ``_rank``, ``_factors`` and
+    ``_poly``, and ``complexes._unit_gram`` keeps a stored boundary's unit
+    Laplacians in ``_grams``; ``==`` and ``hash`` ignore all five.  A memo
+    lives as long as its matrix, and a shared matrix is never changed in
+    place, so every caller reads the same values."""
 
-    __slots__ = ("nrows", "ncols", "_rows", "is_integral", "_basis", "_rank", "_factors")
+    __slots__ = ("nrows", "ncols", "_rows", "is_integral", "_basis", "_rank", "_factors", "_poly", "_grams")
 
     def __init__(self, rows, ncols=None):
         rows = list(map(tuple, rows))
@@ -124,7 +127,7 @@ class Matrix:
         self.nrows = len(self._rows)
         self.ncols = ncols
         self.is_integral = integral
-        self._basis = self._rank = self._factors = None
+        self._basis = self._rank = self._factors = self._poly = self._grams = None
 
     @classmethod
     def _from_rows(cls, rows, ncols, integral=None):
@@ -463,9 +466,12 @@ def char_poly(M):
     and multiply every row norm by s, which costs roughly n*log2(s) more bits
     of modulus.  The primes are proven (see ``_MERSENNE_EXPONENTS``), and the
     loop stops on the bound alone, never on residues that merely stop changing.
+    The polynomial is computed at most once per matrix.
     """
     if not M.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
+    if M._poly is not None:
+        return M._poly
     n = M.nrows
     if n == 0:
         return CharPoly((1,))
@@ -498,7 +504,8 @@ def char_poly(M):
             residues = [a + modulus * ((b - a) * inv % p) for a, b in zip(residues, res)]
         modulus *= p
     half = modulus // 2
-    return CharPoly(tuple(_canon(Fraction(c - modulus if c > half else c, R)) for c in residues))
+    M._poly = CharPoly(tuple(_canon(Fraction(c - modulus if c > half else c, R)) for c in residues))
+    return M._poly
 
 
 # Exponents e of the known Mersenne primes 2^e - 1 from 2^61 - 1 to

@@ -58,6 +58,7 @@ from .linalg import (
 )
 from .complexes import (
     _gram,
+    _unit_gram,
     boundary_matrix,
     laplacian,
     relative_boundary,
@@ -142,15 +143,17 @@ def _level_gram(X, k, weights=None, similar=False):
     (the (k-1)-cells on a tie), as one ``_gram`` of d = d_k with W = D_k, the
     k-cells' weights (1 without ``weights``), and S = D_{k-1}^-1 with
     ``similar`` (else 1): S d W d^T on the (k-1)-cells, the same Gram of d^T
-    with W and S swapped, W d^T S d, on the k-cells.
+    with W and S swapped, W d^T S d, on the k-cells.  Without ``weights`` it
+    is the boundary's shared ``_unit_gram``, so routes on one complex share
+    its spectrum; a weighted one is built anew on each call.
     """
     d = boundary_matrix(X, k)
-    w = s = None
-    if weights is not None:
-        w = weights.cell_weights(X, k)
-        if similar:
-            s = [1 / x for x in weights.cell_weights(X, k - 1)]
-    if X.n_cells(k) < X.n_cells(k - 1):
+    transposed = X.n_cells(k) < X.n_cells(k - 1)
+    if weights is None:
+        return _unit_gram(d, transposed)
+    w = weights.cell_weights(X, k)
+    s = [1 / x for x in weights.cell_weights(X, k - 1)] if similar else None
+    if transposed:
         return _gram(d.transpose(), s, w)
     return _gram(d, w, s)
 

@@ -57,7 +57,13 @@ from .linalg import (
     saturation_basis,
     torsion_order,
 )
-from .complexes import _integer_weights, boundary_matrix, require_boundary_composition, split_cells
+from .complexes import (
+    _exact_int,
+    _integer_weights,
+    boundary_matrix,
+    require_boundary_composition,
+    split_cells,
+)
 from .homology import betti, forest_torsion
 
 DEFAULT_CAP = 5_000_000
@@ -67,8 +73,18 @@ class CapExceeded(RuntimeError):
     """The requested enumeration is larger than the configured cap."""
 
 
+def _cap(cap):
+    """The cap to enforce: ``DEFAULT_CAP`` for None, else ``cap`` if it is an
+    ``int`` (a bool is not) and not negative, else ``ValueError``."""
+    if cap is None:
+        return DEFAULT_CAP
+    if _exact_int(cap, "cap") < 0:
+        raise ValueError(f"cap {cap} is negative")
+    return cap
+
+
 def _check_cap(size, cap, what):
-    cap = DEFAULT_CAP if cap is None else cap
+    cap = _cap(cap)
     if size > cap:
         raise CapExceeded(f"{what} needs {size} subsets, cap is {cap}")
 

@@ -3,7 +3,8 @@
 A vertex handed to a Python reader must be an ``int`` (``complexes._exact_int``),
 a weight a positive ``int`` or ``Fraction`` (``complexes._exact_weight``), and
 an integer typed on the command line must pass the interchange format's rule
-(``io._integers``).  ``int()`` and ``Fraction()`` would read each refused value
+(``io._integers``).  A cap must be an ``int`` that is not negative
+(``oracle._cap``), on the command line too.  ``int()`` and ``Fraction()`` would read each refused value
 below as some other number: 2.7 as 2, True as 1, "3" as 3, 0.1 as a 55-bit
 fraction, and ``2_0`` or ``٤`` as 20 or 4.
 """
@@ -28,6 +29,13 @@ from cellforest.families import (
     shifted_complex,
     simplex_skeleton,
     simplex_tree_count_weighted,
+)
+from cellforest.matrix_forest import tau_cobase_spectral
+from cellforest.oracle import (
+    enumerate_cobases,
+    enumerate_rooted_forests,
+    rooted_forest_torsion_sums,
+    tau_bruteforce,
 )
 
 # each reader of vertices, called with the vertex v in one facet or argument
@@ -202,3 +210,42 @@ def test_a_signed_command_line_integer_stays_legal(tmp_path, capsys):
     path.write_text(cfio.serialize_complex(simplex_skeleton(4, 1)))
     assert main(["homology", str(path), "--k", "+1"]) == 0
     assert capsys.readouterr().out == "dim 1\nk=1 betti=3 torsion=1 factors=-\n"
+
+
+# each reader of a cap, called with the cap c on K_4's 1-skeleton
+CAP_READERS = {
+    "tau_bruteforce": lambda X, c: tau_bruteforce(X, cap=c),
+    "enumerate_rooted_forests": lambda X, c: enumerate_rooted_forests(X, cap=c),
+    "rooted_forest_torsion_sums": lambda X, c: rooted_forest_torsion_sums(X, cap=c),
+    "enumerate_cobases": lambda X, c: enumerate_cobases(X, 0, cap=c),
+    "tau_cobase_spectral": lambda X, c: tau_cobase_spectral(X, cap=c),
+}
+
+
+# a float or a bool was compared with the subset count, and -1 refused every
+# enumeration as if it were exceeded
+@pytest.mark.parametrize("c, message", [
+    (2.5, "cap 2.5 is not an int"),
+    (True, "cap True is not an int"),
+    ("10", "cap '10' is not an int"),
+    (-1, "cap -1 is negative"),
+])
+@pytest.mark.parametrize("reader", sorted(CAP_READERS))
+def test_a_cap_that_is_not_a_nonnegative_int_is_refused(reader, c, message):
+    X = simplex_skeleton(4, 1).to_chain_complex()
+    with pytest.raises(ValueError) as exc:
+        CAP_READERS[reader](X, c)
+    assert str(exc.value) == message
+
+
+# a negative cap was printed as the cap of a method that enumerates nothing
+@pytest.mark.parametrize("argv", [
+    ["tau", "{f}", "--method", "pseudodet", "--cap", "-1"],
+    ["tau", "{f}", "--method", "bruteforce", "--cap", "-1"],
+    ["verify", "families", "--cap", "-1"],
+])
+def test_a_negative_command_line_cap_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "k4.txt"
+    path.write_text(cfio.serialize_complex(simplex_skeleton(4, 1)))
+    assert main([a.format(f=path) for a in argv]) == 2
+    assert capsys.readouterr() == ("", "error: cap -1 is negative\n")

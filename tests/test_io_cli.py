@@ -424,6 +424,7 @@ class TestCli:
 
     @pytest.mark.parametrize("refusal, code, err", [
         (["--cap", "1"], 3, "cap exceeded: forest census at k=2 needs 4 subsets, cap is 1\n"),
+        (["--cap", "-1"], 2, "error: cap -1 is negative\n"),
         (["--weights", "{weights}"], 2, "error: missing weight for a 2-cell\n"),
     ])
     def test_refused_census_writes_no_file(self, tmp_path, capsys, refusal, code, err):

@@ -6,7 +6,9 @@ integer, rational and mixed matrices and on the empty shapes."""
 import random
 from fractions import Fraction
 
+from cellforest import matrix_forest as mf
 from cellforest.complexes import laplacian, weighted_laplacian, weighted_laplacian_similar
+from cellforest.critical import critical_group, critical_group_reduced, sequence_order_check
 from cellforest.linalg import Matrix, det
 from cellforest.oracle import enumerate_cobases, enumerate_forests, rooted_forest_torsion_sums
 
@@ -125,6 +127,20 @@ def test_sparse_and_dense_construction_agree_on_equality_and_hash():
     assert Matrix([[1, 0]]) != Matrix([[1], [0]]) and Matrix([], ncols=2) != Matrix([], ncols=3)
 
 
+# every route that reads a complex's unit Laplacians, each called on a complex
+ROUTES = (
+    mf.tau_reduced,
+    mf.tau_covolume,
+    mf.tau_cobase,
+    mf.tau_pseudodet,
+    mf.tau_alternating,
+    mf.rooted_forest_polynomial,
+    lambda X: [critical_group(X, i) for i in range(X.dim)],
+    lambda X: [critical_group_reduced(X, i) for i in range(X.dim)],
+    sequence_order_check,
+)
+
+
 def test_census_and_det_leave_their_input_unchanged():
     def snapshot(M):
         return [list(row.items()) for row in M._rows], M.is_integral
@@ -142,3 +158,17 @@ def test_census_and_det_leave_their_input_unchanged():
             det(L)
             det(L.submatrix(range(1, L.nrows), range(1, L.ncols)))
             assert snapshot(L) == held
+        # every route reads the complex's shared unit Laplacians: one that
+        # changed its Laplacian in place would corrupt every later route
+        shared = {(k, "ud"): X.boundaries[k + 1] for k in range(-1, X.dim)}
+        shared.update({(k, "du"): X.boundaries[k].transpose() for k in range(X.dim + 1)})
+        held = {key: snapshot(laplacian(X, *key)) for key in shared}
+        for route in ROUTES:
+            try:
+                route(X)
+            except mf.HypothesisError:  # the spectral routes on 15 of the 22
+                pass
+        for key, b in shared.items():
+            L = laplacian(X, *key)
+            assert snapshot(L) == held[key]
+            assert L == b * b.transpose()
